@@ -34,7 +34,7 @@ class ReplayPeer(PdnClient):
     def _serve_request(self, link: NeighborLink, key: tuple[str, int]) -> None:
         rendition, index = key
         source_index = self.substitution(index)
-        data = self._cache.get((rendition, source_index))
+        data = self.cached_bytes((rendition, source_index))
         if data is None or not self.policy.upload_allowed(self.connection_type):
             super()._serve_request(link, key)
             return

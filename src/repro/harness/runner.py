@@ -31,7 +31,7 @@ from repro.harness import registry
 from repro.harness.manifest import RunRecord
 from repro.harness.profile import EventCounter, SiteProfiler, capture_events
 from repro.harness.result import canonical_json, content_digest
-from repro.util.perf import WallTimer, peak_rss_kb, unix_now
+from repro.util.perf import WallTimer, peak_rss_kb, reset_peak_rss, unix_now
 from repro.util.tables import render_table
 
 
@@ -126,6 +126,7 @@ def execute_spec(
     result_dict: dict[str, Any] | None = None
     trace: TraceSnapshot | None = None
     detsan = sanitized_run() if sanitize else None
+    reset_peak_rss()
     with WallTimer() as timer:
         try:
             with capture_events(counter):

@@ -57,36 +57,45 @@ def int_to_ip(value: int) -> str:
     return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
 
 
-def _in_block(value: int, network: str, prefix_len: int) -> bool:
-    base = ip_to_int(network)
-    mask = (0xFFFFFFFF << (32 - prefix_len)) & 0xFFFFFFFF
-    return (value & mask) == base
+def _compile(blocks: list[tuple[str, int]]) -> tuple[tuple[int, int], ...]:
+    """``(network, prefix_len)`` pairs as ``(base, mask)`` integer pairs."""
+    out = []
+    for network, prefix_len in blocks:
+        mask = (0xFFFFFFFF << (32 - prefix_len)) & 0xFFFFFFFF
+        out.append((ip_to_int(network), mask))
+    return tuple(out)
 
 
-_PRIVATE_BLOCKS = [("10.0.0.0", 8), ("172.16.0.0", 12), ("192.168.0.0", 16)]
-_RESERVED_BLOCKS = [
-    ("0.0.0.0", 8),
-    ("127.0.0.0", 8),
-    ("169.254.0.0", 16),
-    ("192.0.2.0", 24),
-    ("198.51.100.0", 24),
-    ("203.0.113.0", 24),
-    ("224.0.0.0", 4),
-    ("240.0.0.0", 4),
-]
+#: Checked in order; the first class with a block containing the
+#: address wins, and anything unmatched is public.
+_CLASS_BLOCKS: tuple[tuple[IpClass, tuple[tuple[int, int], ...]], ...] = (
+    (IpClass.PRIVATE, _compile([("10.0.0.0", 8), ("172.16.0.0", 12), ("192.168.0.0", 16)])),
+    (IpClass.SHARED_NAT, _compile([("100.64.0.0", 10)])),
+    (
+        IpClass.RESERVED,
+        _compile(
+            [
+                ("0.0.0.0", 8),
+                ("127.0.0.0", 8),
+                ("169.254.0.0", 16),
+                ("192.0.2.0", 24),
+                ("198.51.100.0", 24),
+                ("203.0.113.0", 24),
+                ("224.0.0.0", 4),
+                ("240.0.0.0", 4),
+            ]
+        ),
+    ),
+)
 
 
 def classify_ip(ip: str) -> IpClass:
     """Classify an IPv4 address per the paper's bogon taxonomy."""
     value = ip_to_int(ip)
-    for network, prefix in _PRIVATE_BLOCKS:
-        if _in_block(value, network, prefix):
-            return IpClass.PRIVATE
-    if _in_block(value, "100.64.0.0", 10):
-        return IpClass.SHARED_NAT
-    for network, prefix in _RESERVED_BLOCKS:
-        if _in_block(value, network, prefix):
-            return IpClass.RESERVED
+    for ip_class, blocks in _CLASS_BLOCKS:
+        for base, mask in blocks:
+            if value & mask == base:
+                return ip_class
     return IpClass.PUBLIC
 
 

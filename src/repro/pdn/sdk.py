@@ -33,6 +33,7 @@ from repro.net.clock import EventLoop
 from repro.net.network import Host
 from repro.pdn.policy import ClientPolicy
 from repro.streaming.http import HttpClient
+from repro.streaming.player import SegmentCallback
 from repro.util.errors import SdpError
 from repro.util.rand import DeterministicRandom
 from repro.webrtc.peer_connection import PeerConnection, RtcConfig, SessionDescription
@@ -214,7 +215,7 @@ class _PendingFetch:
     base_url: str  # doubles as the rendition/content tag on the wire
     uri: str
     neighbor_id: str
-    on_done: Callable[[bytes | None, str], None]
+    on_done: SegmentCallback
     requested_at: float = 0.0
     timer: object = None
 
@@ -273,9 +274,10 @@ class PdnClient:
         self.neighbors: dict[str, NeighborLink] = {}
         self.candidate_ips_seen: list[tuple[float, str, str]] = []  # (t, peer_id, ip)
         # Content is keyed by (rendition base URL, index): multi-bitrate
-        # streams must never cross-serve between renditions.
-        self._cache: dict[tuple[str, int], bytes] = {}
-        self._cdn_digests: dict[tuple[str, int], str] = {}
+        # streams must never cross-serve between renditions. Each entry
+        # keeps the SHA-256 hex digest of its bytes, hashed once on
+        # arrival, for announcements and for the player.
+        self._cache: dict[tuple[str, int], tuple[bytes, str]] = {}
         # CDN-verified digests of the slow-start window only: this is the
         # reference set the SDK cross-checks neighbor announcements
         # against (the mechanism that defeats *direct* pollution but not
@@ -496,11 +498,9 @@ class PdnClient:
         link = self.neighbors.get(peer_id)
         if link is None or link.banned:
             return
-        for rendition, index in self._cache:
+        for (rendition, index), (_data, digest) in self._cache.items():
             self._send_control(
-                link,
-                {"type": "have", "r": rendition, "index": index,
-                 "digest": self._digest_of((rendition, index))},
+                link, {"type": "have", "r": rendition, "index": index, "digest": digest}
             )
 
     # -- segment loader interface ---------------------------------------------------
@@ -515,13 +515,14 @@ class PdnClient:
         base_url: str,
         uri: str,
         index: int,
-        on_done: Callable[[bytes | None, str], None],
+        on_done: SegmentCallback,
     ) -> None:
         """Fetch segment."""
         self._fetch_count += 1
         key = (base_url, index)
-        if key in self._cache:
-            on_done(self._cache[key], "cache")
+        cached = self._cache.get(key)
+        if cached is not None:
+            on_done(cached[0], "cache", cached[1])
             return
         use_p2p = (
             self.started
@@ -545,24 +546,23 @@ class PdnClient:
     # -- CDN path ---------------------------------------------------------------
 
     def _fetch_from_cdn(
-        self, base_url: str, uri: str, index: int, on_done: Callable[[bytes | None, str], None]
+        self, base_url: str, uri: str, index: int, on_done: SegmentCallback
     ) -> None:
         response = self.http.get(base_url + uri, headers=self._signaling_headers())
         if not response.ok:
-            on_done(None, "cdn")
+            on_done(None, "cdn", None)
             return
         data = response.body
         self.stats.bytes_cdn += len(data)
         digest = hashlib.sha256(data).hexdigest()
         key = (base_url, index)
-        self._cdn_digests[key] = digest
         if len(self._slow_start_digests) < self.slow_start and key not in self._slow_start_digests:
             self._slow_start_digests[key] = digest
             self._check_announcements_against(key, digest)
-        self._store(key, data)
+        self._store(key, data, digest)
         if self.integrity is not None:
             self.integrity.on_cdn_segment(self, index, data, rendition=base_url)
-        on_done(data, "cdn")
+        on_done(data, "cdn", digest)
 
     def _check_announcements_against(self, key: tuple[str, int], authentic_digest: str) -> None:
         """Slow-start consistency check: ban neighbors whose announced
@@ -580,7 +580,7 @@ class PdnClient:
         base_url: str,
         uri: str,
         index: int,
-        on_done: Callable[[bytes | None, str], None],
+        on_done: SegmentCallback,
     ) -> None:
         self.stats.p2p_fetches += 1
         pending = _PendingFetch(index, base_url, uri, link.peer_id, on_done, self.loop.now)
@@ -622,8 +622,9 @@ class PdnClient:
                 self._fetch_from_cdn(pending.base_url, pending.uri, index, pending.on_done)
                 return
             self.stats.record_latency(self.loop.now - pending.requested_at)
-            self._store(key, data)
-            pending.on_done(data, "p2p")
+            digest = hashlib.sha256(data).hexdigest()
+            self._store(key, data, digest)
+            pending.on_done(data, "p2p", digest)
 
         if self.integrity is not None:
             self.integrity.verify_p2p_segment(
@@ -671,7 +672,7 @@ class PdnClient:
                 self._p2p_timeout(key)
 
     def _serve_request(self, link: NeighborLink, key: tuple[str, int]) -> None:
-        data = self._cache.get(key)
+        data = self.cached_bytes(key)
         allowed = self.policy.upload_allowed(self.connection_type)
         if data is None or not allowed or self._upload_capped(len(data)):
             self.stats.p2p_requests_failed += 1
@@ -698,12 +699,17 @@ class PdnClient:
 
     # -- cache ---------------------------------------------------------------
 
-    def _store(self, key: tuple[str, int], data: bytes) -> None:
+    def _store(self, key: tuple[str, int], data: bytes, digest: str) -> None:
+        """Cache ``data`` under ``key`` with ``digest``, its SHA-256 hex.
+
+        A re-store replaces both, so a polluted copy overwriting an
+        authentic one is what later announcements describe. Only a fresh
+        key is announced right away.
+        """
         fresh = key not in self._cache
-        self._cache[key] = data
+        self._cache[key] = (data, digest)
         self.loop.schedule(_CACHE_TTL, self._purge, key)
         if fresh:
-            digest = hashlib.sha256(data).hexdigest()
             for link in self.neighbors.values():
                 if link.connected:
                     self._send_control(
@@ -713,12 +719,14 @@ class PdnClient:
     def _purge(self, key: tuple[str, int]) -> None:
         self._cache.pop(key, None)
 
-    def _digest_of(self, key: tuple[str, int]) -> str:
-        return hashlib.sha256(self._cache[key]).hexdigest()
+    def cached_bytes(self, key: tuple[str, int]) -> bytes | None:
+        """The cached payload for ``key``, or None."""
+        entry = self._cache.get(key)
+        return entry[0] if entry is not None else None
 
     def cache_bytes(self) -> int:
         """Cache bytes."""
-        return sum(len(v) for v in self._cache.values())
+        return sum(len(data) for data, _digest in self._cache.values())
 
     # -- housekeeping ---------------------------------------------------------
 

@@ -25,6 +25,14 @@ from repro.streaming.http import HttpClient
 from repro.util.errors import ConfigurationError
 
 
+#: ``on_done(data, source, digest)`` for one segment fetch: the payload
+#: (``None`` on failure), where it came from (``"cdn"``, ``"p2p"``,
+#: ``"cache"``) and the SHA-256 hex digest of ``data`` (``None`` with it).
+#: The loader hashes each payload once; the player records that digest
+#: instead of hashing the bytes again.
+SegmentCallback = Callable[[bytes | None, str, str | None], None]
+
+
 class SegmentLoader(Protocol):
     """Fetches playlists and segments on behalf of a player."""
 
@@ -37,7 +45,7 @@ class SegmentLoader(Protocol):
         base_url: str,
         uri: str,
         index: int,
-        on_done: Callable[[bytes | None, str], None],
+        on_done: SegmentCallback,
     ) -> None:
         """Fetch segment."""
         ...  # pragma: no cover
@@ -59,11 +67,14 @@ class CdnLoader:
         base_url: str,
         uri: str,
         index: int,
-        on_done: Callable[[bytes | None, str], None],
+        on_done: SegmentCallback,
     ) -> None:
         """Fetch segment."""
         response = self.http.get(base_url + uri)
-        on_done(response.body if response.ok else None, "cdn")
+        if not response.ok:
+            on_done(None, "cdn", None)
+            return
+        on_done(response.body, "cdn", hashlib.sha256(response.body).hexdigest())
 
 
 @dataclass
@@ -137,7 +148,9 @@ class VideoPlayer:
         self._entries: dict[int, str] = {}  # absolute index -> uri
         self._durations: dict[int, float] = {}  # absolute index -> seconds
         self._end_index: int | None = None  # exclusive, known for VOD
-        self._buffer: dict[int, tuple[bytes, str]] = {}
+        # index -> (source, digest): playback records what it played by
+        # digest, so the buffer never needs the payload bytes.
+        self._buffer: dict[int, tuple[str, str]] = {}
         self._inflight: set[int] = set()
         self._fetch_retries: dict[int, int] = {}
         self._skipped: set[int] = set()
@@ -256,7 +269,8 @@ class VideoPlayer:
             self._inflight.add(index)
             uri = self._entries[index]
             self.loader.fetch_segment(
-                self.base_url, uri, index, lambda data, source, i=index: self._on_segment(i, data, source)
+                self.base_url, uri, index,
+                lambda data, source, digest, i=index: self._on_segment(i, data, source, digest),
             )
         if not self._playing and (self._buffer or self._inflight or not self._reached_end()):
             self._maybe_start_playback()
@@ -311,10 +325,13 @@ class VideoPlayer:
             return
         self._inflight.add(index)
         self.loader.fetch_segment(
-            self.base_url, uri, index, lambda data, source, i=index: self._on_segment(i, data, source)
+            self.base_url, uri, index,
+            lambda data, source, digest, i=index: self._on_segment(i, data, source, digest),
         )
 
-    def _on_segment(self, index: int, data: bytes | None, source: str) -> None:
+    def _on_segment(
+        self, index: int, data: bytes | None, source: str, digest: str | None
+    ) -> None:
         self._inflight.discard(index)
         if self._stopped:
             return
@@ -342,7 +359,7 @@ class VideoPlayer:
             # wire, so they stay counted above.
             self._fill_buffer()
             return
-        self._buffer[index] = (data, source)
+        self._buffer[index] = (source, digest)
         self._maybe_start_playback()
         self._fill_buffer()
 
@@ -378,10 +395,8 @@ class VideoPlayer:
         if self._stall_started is not None:
             self.stats.stall_time += self.loop.now - self._stall_started
             self._stall_started = None
-        data, source = entry
-        self.stats.played.append(
-            PlayedSegment(self._play_index, hashlib.sha256(data).hexdigest(), source, self.loop.now)
-        )
+        source, digest = entry
+        self.stats.played.append(PlayedSegment(self._play_index, digest, source, self.loop.now))
         self._abr_on_smooth_segment()
         self._play_index += 1
         self._fill_buffer()

@@ -28,8 +28,19 @@ class VideoSegment:
 
     @property
     def digest(self) -> str:
-        """Digest."""
-        return hashlib.sha256(self.data).hexdigest()
+        """SHA-256 of :attr:`data`, computed on first access only.
+
+        The payload is immutable, so the hex digest is memoised in the
+        instance ``__dict__``, outside the dataclass fields: equality,
+        hashing and ``repr`` are unaffected. It stays a plain ``property``
+        rather than ``functools.cached_property`` so that wrappers of
+        property getters, such as perfbench's tracer, keep working.
+        """
+        cached = self.__dict__.get("_digest")
+        if cached is None:
+            cached = hashlib.sha256(self.data).hexdigest()
+            object.__setattr__(self, "_digest", cached)
+        return cached
 
     @property
     def filename(self) -> str:

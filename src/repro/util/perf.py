@@ -33,13 +33,39 @@ def peak_rss_kb() -> int:
 
     Harness-side observability only (run manifests, the core hot-path
     bench): like wall time, memory footprint is a property of the host,
-    never an input to the simulation.
+    never an input to the simulation. On Linux this is ``VmHWM`` from
+    ``/proc/self/status``, the high-water mark that
+    :func:`reset_peak_rss` restarts; elsewhere it is ``ru_maxrss``,
+    the high-water of the whole process lifetime.
     """
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
     try:
         import resource
     except ImportError:  # pragma: no cover - non-POSIX platform
         return 0
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+
+
+def reset_peak_rss() -> None:
+    """Restart :func:`peak_rss_kb`'s high-water mark at the current RSS.
+
+    Writing ``5`` to ``/proc/self/clear_refs`` resets ``VmHWM`` (Linux
+    only), so several experiments run in one process each report the
+    peak during their own run, not the largest one before them. (That
+    peak still includes heap the process kept from earlier runs.) Where
+    the file is missing or not writable this does nothing.
+    """
+    try:
+        with open("/proc/self/clear_refs", "w", encoding="ascii") as clear_refs:
+            clear_refs.write("5")
+    except OSError:
+        pass
 
 
 class WallTimer:

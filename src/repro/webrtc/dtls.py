@@ -37,6 +37,7 @@ CONTENT_HANDSHAKE = 22
 CONTENT_APPDATA = 23
 
 _RECORD_HEADER = struct.Struct("!BHHQH")  # type, version, epoch, seq, length
+_SEQ = struct.Struct("!Q")
 _MAC_LEN = 16
 _HANDSHAKE_RETRANSMIT = 0.5
 _MAX_RETRANSMITS = 6
@@ -52,8 +53,10 @@ def is_dtls_datagram(data: bytes) -> bool:
     return version == DTLS_VERSION
 
 
-def _encode_record(content_type: int, epoch: int, seq: int, payload: bytes) -> bytes:
-    return _RECORD_HEADER.pack(content_type, DTLS_VERSION, epoch, seq, len(payload)) + payload
+def _encode_record(content_type: int, epoch: int, seq: int, *payload: bytes) -> bytes:
+    """One record whose payload is the concatenation of ``payload``, copied once."""
+    length = sum(len(part) for part in payload)
+    return b"".join((_RECORD_HEADER.pack(content_type, DTLS_VERSION, epoch, seq, length), *payload))
 
 
 def _decode_record(data: bytes) -> tuple[int, int, int, bytes]:
@@ -68,7 +71,40 @@ def _decode_record(data: bytes) -> tuple[int, int, int, bytes]:
     return content_type, epoch, seq, payload
 
 
-def _keystream(key: bytes, seq: int, length: int) -> bytes:
+_SHA256_BLOCK = 64
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+
+
+class _HmacKey:
+    """One direction's HMAC-SHA256 key with its hash states precomputed.
+
+    HMAC(k, m) = H((k ^ opad) || H((k ^ ipad) || m)) (RFC 2104). The two
+    SHA-256 states that have absorbed the padded key are built once per
+    session; every record copies them instead of re-keying an HMAC
+    object, and gets the same bytes.
+    """
+
+    __slots__ = ("_inner", "_outer")
+
+    def __init__(self, key: bytes) -> None:
+        if len(key) > _SHA256_BLOCK:
+            key = hashlib.sha256(key).digest()
+        padded = key.ljust(_SHA256_BLOCK, b"\0")
+        self._inner = hashlib.sha256(padded.translate(_IPAD))
+        self._outer = hashlib.sha256(padded.translate(_OPAD))
+
+    def mac(self, *parts: bytes) -> bytes:
+        """HMAC-SHA256 of the concatenation of ``parts``, without joining them."""
+        inner = self._inner.copy()
+        for part in parts:
+            inner.update(part)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
+
+
+def _keystream(key: _HmacKey, seq: bytes, length: int) -> bytes:
     """Per-record keystream: one HMAC-derived block, tiled to length.
 
     (A real cipher derives fresh blocks per counter; tiling one block
@@ -77,7 +113,7 @@ def _keystream(key: bytes, seq: int, length: int) -> bytes:
     """
     if length == 0:
         return b""
-    block = hmac.new(key, struct.pack("!Q", seq), hashlib.sha256).digest()
+    block = key.mac(seq)
     return (block * (length // len(block) + 1))[:length]
 
 
@@ -127,8 +163,8 @@ class DtlsSession:
         self.remote_public_key: bytes | None = None
         self._send_seq = 0
         self._handshake_seq = 0
-        self._write_key: bytes | None = None
-        self._read_key: bytes | None = None
+        self._write_key: _HmacKey | None = None
+        self._read_key: _HmacKey | None = None
         self._last_flight: list[bytes] = []
         self._retransmits = 0
         self._retransmit_timer = None
@@ -195,8 +231,8 @@ class DtlsSession:
         publics = sorted([self.certificate.public_key, self.remote_public_key])
         randoms = sorted([self.local_random, self.remote_random])
         master = hashlib.sha256(b"master" + publics[0] + publics[1] + randoms[0] + randoms[1]).digest()
-        client_key = hmac.new(master, b"client-write", hashlib.sha256).digest()
-        server_key = hmac.new(master, b"server-write", hashlib.sha256).digest()
+        client_key = _HmacKey(hmac.new(master, b"client-write", hashlib.sha256).digest())
+        server_key = _HmacKey(hmac.new(master, b"server-write", hashlib.sha256).digest())
         if self.role == "client":
             self._write_key, self._read_key = client_key, server_key
         else:
@@ -209,9 +245,8 @@ class DtlsSession:
             return self.local_random + self.remote_random
         return self.remote_random + self.local_random
 
-    def _finished_mac(self, key: bytes) -> str:
-        digest = hmac.new(key, b"finished" + self._transcript(), hashlib.sha256).digest()[:16]
-        return b64url_encode(digest)
+    def _finished_mac(self, key: _HmacKey) -> str:
+        return b64url_encode(key.mac(b"finished", self._transcript())[:16])
 
     def _verify_certificate(self, message: dict) -> bytes:
         public_key = b64url_decode(message["public_key"])
@@ -289,9 +324,7 @@ class DtlsSession:
         elif kind == "finished":
             if self._read_key is None:
                 return  # arrived before key derivation; peer will retransmit
-            expected = hmac.new(
-                self._read_key, b"finished" + self._transcript(), hashlib.sha256
-            ).digest()[:16]
+            expected = self._read_key.mac(b"finished", self._transcript())[:16]
             if b64url_decode(message["mac"]) != expected:
                 raise DtlsHandshakeError("finished MAC verification failed")
             if self.role == "server":
@@ -318,12 +351,11 @@ class DtlsSession:
         if not self.established or self._write_key is None:
             raise DtlsRecordError("cannot send application data before handshake completes")
         seq = self._next_seq()
-        ciphertext = _xor(payload, _keystream(self._write_key, seq, len(payload)))
-        mac = hmac.new(self._write_key, struct.pack("!Q", seq) + ciphertext, hashlib.sha256).digest()[
-            :_MAC_LEN
-        ]
+        seq_bytes = _SEQ.pack(seq)
+        ciphertext = _xor(payload, _keystream(self._write_key, seq_bytes, len(payload)))
+        mac = self._write_key.mac(seq_bytes, ciphertext)[:_MAC_LEN]
         self.records_sent += 1
-        self._send_raw(_encode_record(CONTENT_APPDATA, 1, seq, ciphertext + mac))
+        self._send_raw(_encode_record(CONTENT_APPDATA, 1, seq, ciphertext, mac))
 
     def _handle_appdata(self, seq: int, payload: bytes) -> None:
         if not self.established or self._read_key is None:
@@ -332,14 +364,13 @@ class DtlsSession:
             self._fail(DtlsRecordError("application record too short"))
             return
         ciphertext, mac = payload[:-_MAC_LEN], payload[-_MAC_LEN:]
-        expected = hmac.new(
-            self._read_key, struct.pack("!Q", seq) + ciphertext, hashlib.sha256
-        ).digest()[:_MAC_LEN]
+        seq_bytes = _SEQ.pack(seq)
+        expected = self._read_key.mac(seq_bytes, ciphertext)[:_MAC_LEN]
         if not hmac.compare_digest(mac, expected):
             self.auth_failures += 1
             if self.on_error is not None:
                 self.on_error(DtlsRecordError("record MAC verification failed"))
             return
-        plaintext = _xor(ciphertext, _keystream(self._read_key, seq, len(ciphertext)))
+        plaintext = _xor(ciphertext, _keystream(self._read_key, seq_bytes, len(ciphertext)))
         if self.on_data is not None:
             self.on_data(plaintext)

@@ -1,6 +1,7 @@
 """Tests for the run pipeline: execute_spec, Runner, and verify."""
 
 import json
+import os
 
 import pytest
 
@@ -101,3 +102,38 @@ class TestRunner:
         assert report.mismatches() == ["token-defense"]
         assert "token-defense" in report.errors
         assert "NON-DETERMINISTIC" in report.render()
+
+
+class _Sized:
+    """A minimal experiment result."""
+
+    def to_dict(self) -> dict:
+        return {}
+
+    def render(self) -> str:
+        return ""
+
+
+def _allocate_100_mib(seed: int) -> _Sized:
+    blob = b"\x01" * (100 << 20)  # written, hence resident
+    assert blob[-1] == 1
+    return _Sized()
+
+
+def _allocate_nothing(seed: int) -> _Sized:
+    return _Sized()
+
+
+class TestPeakRss:
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/clear_refs"), reason="high-water reset is Linux-only"
+    )
+    def test_each_record_reports_its_own_peak(self, monkeypatch):
+        for name, runner in (("rss-big", _allocate_100_mib), ("rss-small", _allocate_nothing)):
+            spec = registry.ExperimentSpec(name=name, help=name, runner=runner)
+            monkeypatch.setitem(registry._REGISTRY, name, spec)
+        big = execute_spec("rss-big", seed=1).record
+        small = execute_spec("rss-small", seed=1).record
+        assert big.ok and small.ok
+        assert big.peak_rss_kb >= 100 << 10
+        assert small.peak_rss_kb < big.peak_rss_kb - (50 << 10)

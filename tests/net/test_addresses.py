@@ -1,5 +1,8 @@
 """Tests for IPv4 parsing and bogon classification."""
 
+import ipaddress
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -58,6 +61,59 @@ class TestClassification:
         assert is_bogon("192.168.0.10")
         assert is_bogon("100.64.3.2")
         assert not is_bogon("93.184.216.34")
+
+
+#: The taxonomy restated as stdlib networks, in classification order.
+_ORACLE_BLOCKS = [
+    (IpClass.PRIVATE, ["10.0.0.0/8", "172.16.0.0/12", "192.168.0.0/16"]),
+    (IpClass.SHARED_NAT, ["100.64.0.0/10"]),
+    (
+        IpClass.RESERVED,
+        [
+            "0.0.0.0/8", "127.0.0.0/8", "169.254.0.0/16", "192.0.2.0/24",
+            "198.51.100.0/24", "203.0.113.0/24", "224.0.0.0/4", "240.0.0.0/4",
+        ],
+    ),
+]
+_ORACLE_NETWORKS = [
+    (ip_class, ipaddress.ip_network(block))
+    for ip_class, blocks in _ORACLE_BLOCKS
+    for block in blocks
+]
+
+
+def _oracle_class(ip: str) -> IpClass:
+    address = ipaddress.ip_address(ip)
+    for ip_class, network in _ORACLE_NETWORKS:
+        if address in network:
+            return ip_class
+    return IpClass.PUBLIC
+
+
+def _oracle_probes() -> list[str]:
+    """Each block's first and last address, its outside neighbours, and
+    seeded random addresses."""
+    values = set()
+    for _class, network in _ORACLE_NETWORKS:
+        first = int(network.network_address)
+        last = int(network.broadcast_address)
+        values.update(v for v in (first - 1, first, last, last + 1) if 0 <= v <= 0xFFFFFFFF)
+    rng = random.Random(2024)
+    values.update(rng.randrange(0, 1 << 32) for _ in range(5000))
+    return [str(ipaddress.ip_address(v)) for v in sorted(values)]
+
+
+class TestClassificationAgainstStdlib:
+    def test_matches_ipaddress_membership(self):
+        mismatches = [
+            (ip, classify_ip(ip), _oracle_class(ip))
+            for ip in _oracle_probes()
+            if classify_ip(ip) is not _oracle_class(ip)
+        ]
+        assert mismatches == []
+
+    def test_probes_cover_every_class(self):
+        assert {_oracle_class(ip) for ip in _oracle_probes()} == set(IpClass)
 
 
 class TestEndpoint:
