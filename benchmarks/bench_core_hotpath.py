@@ -79,6 +79,13 @@ _PAYLOAD = b"\x00" * 200  # one shared segment-chunk-sized datagram body
 # ---------------------------------------------------------------------------
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def bench_event_loop(n_events: int = 100_000) -> dict:
     """Pure scheduler throughput: schedule, cancel 10%, drain.
 
@@ -209,6 +216,9 @@ def bench_swarm_sharded(viewers: int, datagrams: int, ladder: tuple[int, ...],
         "datagrams_per_sec": report.totals["sent"] / wall if wall else 0.0,
         "peak_rss_kb": max(final["worker_peak_rss_kb"]),
         "wheel": report.wheel_summary(),
+        # What the rungs ran on: --check gates a sharded scenario only
+        # against a baseline with the same final rung and cpu count.
+        "cpus": _cpus(),
     }
     if len(rungs) > 1 and "1" in rungs:
         out["speedup_vs_1"] = first["wall_seconds"] / wall if wall else 0.0
@@ -269,8 +279,7 @@ def run_suite(smoke: bool = False, scenarios: list[str] | None = None,
         "version": 1,
         "mode": mode if scenarios is None else "select",
         "python": platform.python_version(),
-        "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else (os.cpu_count() or 1),
+        "cpus": _cpus(),
         "scenarios": report,
         "peak_rss_kb": peak_rss_kb(),
     }
@@ -281,16 +290,36 @@ def run_suite(smoke: bool = False, scenarios: list[str] | None = None,
 # ---------------------------------------------------------------------------
 
 
-def compare(report: dict, baseline: dict, threshold: float = 0.30) -> list[str]:
+def _shard_setup(scenario: dict, report: dict) -> tuple[int, int] | None:
+    """``(final-rung workers, cpus)`` of a sharded scenario; None if unsharded."""
+    rungs = scenario.get("workers")
+    if not rungs:
+        return None
+    return max(int(k) for k in rungs), scenario.get("cpus", report.get("cpus"))
+
+
+def compare(report: dict, baseline: dict,
+            threshold: float = 0.30) -> tuple[list[str], dict[str, str]]:
     """Regressions >``threshold`` in events/sec vs the baseline, per scenario.
 
     Only scenarios present in both reports are compared, so a smoke run
-    checks against a committed full-run baseline.
+    checks against a committed full-run baseline. A sharded scenario is
+    compared only with a baseline recorded at the same final-rung worker
+    count on the same number of cpus — anything else measures the box,
+    not the code. Returns ``(failures, skips)``, ``skips`` mapping each
+    scenario left unchecked to why; a skipped scenario is no pass.
     """
     failures = []
+    skips = {}
     for name, current in report["scenarios"].items():
         base = baseline.get("scenarios", {}).get(name)
         if base is None:
+            continue
+        setup = _shard_setup(current, report)
+        base_setup = _shard_setup(base, baseline)
+        if setup != base_setup:
+            skips[name] = (f"baseline is workers={base_setup[0]}, cpus={base_setup[1]}; "
+                           f"this run is workers={setup[0]}, cpus={setup[1]}")
             continue
         base_rate = base.get("events_per_sec", 0.0)
         rate = current.get("events_per_sec", 0.0)
@@ -299,7 +328,7 @@ def compare(report: dict, baseline: dict, threshold: float = 0.30) -> list[str]:
                 f"{name}: {rate:,.0f} events/sec is "
                 f"{(1 - rate / base_rate) * 100:.0f}% below baseline {base_rate:,.0f}"
             )
-    return failures
+    return failures, skips
 
 
 def render(report: dict) -> str:
@@ -366,14 +395,21 @@ def main(argv: list[str] | None = None) -> int:
     status = 0
     if args.check is not None:
         baseline = json.loads(args.check.read_text())
-        failures = compare(report, baseline, args.threshold)
+        failures, skips = compare(report, baseline, args.threshold)
+        for name, why in skips.items():
+            print(f"\nSKIP {name}: {why} — not gated")
+        gated = sorted(set(report["scenarios"]) & set(baseline.get("scenarios", {}))
+                       - set(skips))
         if failures:
             print("\nPERF REGRESSION vs " + str(args.check))
             for failure in failures:
                 print("  " + failure)
             status = 1
+        elif gated:
+            print(f"\nno regression vs {args.check} in {', '.join(gated)} "
+                  f"(threshold {args.threshold:.0%})")
         else:
-            print(f"\nno regression vs {args.check} (threshold {args.threshold:.0%})")
+            print(f"\nnothing gated vs {args.check}: no scenario had a like baseline")
     if not args.no_write:
         args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -160,6 +160,12 @@ class EventLoop:
     and dispatch hands each contiguous run of rows to the installed
     drain in **one callback frame**, still merging per item against the
     heap top so dispatch order stays bit-identical to a pure-heap loop.
+
+    **Send plane.** A loop may also drive one precomputed send program
+    (:meth:`arm_send_plane`, used by :mod:`repro.net.shard`): a single
+    queued ``(when, seq)`` head stands for all of its remaining sends,
+    and its frame fires them, interleaved with due delivery rows, in
+    the same ``(when, seq)`` order one queued event per send would have.
     """
 
     #: Slotted for the same reason the per-packet classes are: the
@@ -169,7 +175,7 @@ class EventLoop:
         "now", "_heap", "_seq", "_events_fired", "_live",
         "_wheel", "_cursor", "_wheel_tick", "_wheel_count",
         "_wheel_width", "_wheel_inv", "_wheel_slots",
-        "_bwhen", "_bseq", "_bobjs", "_dg_drain", "_dg_callback",
+        "_bwhen", "_bseq", "_bobjs", "_dg_drain", "_dg_callback", "_plane",
         "wheel_scheduled", "wheel_overflow",
         "wheel_batched", "wheel_batch_drains",
     )
@@ -212,6 +218,9 @@ class EventLoop:
         #: with no network attached (pure-timer loops never see rows).
         self._dg_drain: Any = None
         self._dg_callback: Any = None
+        #: Installed by :meth:`arm_send_plane`; ``None`` on loops that
+        #: run no precomputed send program.
+        self._plane: Any = None
         #: Cumulative wheel counters, surfaced by :meth:`wheel_stats`.
         self.wheel_scheduled = 0
         self.wheel_overflow = 0
@@ -260,6 +269,29 @@ class EventLoop:
         self._dg_drain = drain
         self._dg_callback = callback
 
+    def arm_send_plane(self, when: float, frame: Any) -> None:
+        """Queue the head of a precomputed send program at ``when``.
+
+        The head is one bare ``(when, seq)`` entry standing for every
+        send the program has left; it counts once in :attr:`pending`
+        until the program's last send fires. When the dispatch loops
+        select it they call ``frame(when, seq, deadline, budget) ->
+        fired``, which must fire at least one send, keep firing due
+        sends and batched delivery rows in ``(when, seq)`` order within
+        ``deadline`` and ``budget``, and then either re-queue the head
+        under the next send's key or, once the program is spent,
+        release its ``pending`` count. Each send is one fired event;
+        the frame reports it to the trace hook and sinks itself. A loop
+        drives at most one plane.
+        """
+        if self._plane is not None:
+            raise ConfigurationError("this loop already drives a send plane")
+        if when < self.now:
+            raise ConfigurationError(f"cannot arm a send plane at {when} < now {self.now}")
+        self._plane = frame
+        self._live += 1
+        self._enqueue((when, next(self._seq)))
+
     @property
     def wheel_occupancy(self) -> int:
         """Entries currently wheel-resident (buckets plus cursor)."""
@@ -291,18 +323,19 @@ class EventLoop:
         """Yield every queued entry across both tiers (tests/debug only).
 
         Batched datagram rows — column-resident or already collected
-        into the cursor — surface in the legacy ``(when, seq, callback,
-        args)`` shape so queue scans need only one tuple vocabulary.
+        into the cursor — and a send plane's head surface in the legacy
+        ``(when, seq, callback, args)`` shape so queue scans need only
+        one tuple vocabulary.
         """
-        yield from self._heap
         cb = self._dg_callback
-        for entry in self._cursor:
+        plane = self._plane
+        for entry in itertools.chain(self._heap, self._cursor, *self._wheel):
             if len(entry) == 6:
                 yield (entry[0], entry[1], cb, entry[2:])
+            elif len(entry) == 2:
+                yield (entry[0], entry[1], plane, ())
             else:
                 yield entry
-        for bucket in self._wheel:
-            yield from bucket
         for slot in range(len(self._bwhen)):
             yield from self._iter_batch_rows(slot)
 
@@ -492,6 +525,11 @@ class EventLoop:
     # pushed by :meth:`schedule_fast` — take the first fire branch: no
     # cancelled check, no handle bookkeeping. Sinks receive the raw
     # 4-tuple for those (see ``repro.harness.profile.callback_of``).
+    # A bare ``(when, seq)`` 2-tuple is a send plane's head
+    # (:meth:`arm_send_plane`): the loop hands it the deadline and the
+    # remaining budget and adds what the frame fired, as it does for
+    # the batched-row drain; the head's ``pending`` count is the
+    # frame's to release.
     # run_until() and run_all() accumulate the fired count in a local
     # and flush it in a ``finally``, so ``events_fired`` is only
     # guaranteed current *between* drain calls — no in-tree callback
@@ -575,6 +613,11 @@ class EventLoop:
                     EventLoop._trace(self, entry)
                 entry[2](*entry[3])
                 handle: Any = entry
+            elif len(entry) == 2:
+                # The send plane's head: its frame fires exactly one send.
+                self._plane(entry[0], entry[1], _INFINITY, 1)
+                self._events_fired += 1
+                return True
             else:
                 when, _, handle = entry
                 if handle.cancelled:
@@ -639,6 +682,11 @@ class EventLoop:
                         EventLoop._trace(self, entry)
                     entry[2](*entry[3])
                     handle: Any = entry
+                elif len(entry) == 2:
+                    # The send plane's head: one frame fires the due
+                    # sends and the delivery rows between them.
+                    fired += self._plane(entry[0], entry[1], deadline, _MAX_EVENTS)
+                    continue
                 else:
                     when, _, handle = entry
                     if handle.cancelled:
@@ -723,6 +771,11 @@ class EventLoop:
                         EventLoop._trace(self, entry)
                     entry[2](*entry[3])
                     handle: Any = entry
+                elif len(entry) == 2:
+                    fired += self._plane(entry[0], entry[1], deadline, budget - fired)
+                    if fired >= budget:
+                        break
+                    continue
                 else:
                     when, _, handle = entry
                     if handle.cancelled:
@@ -813,6 +866,13 @@ class EventLoop:
                         EventLoop._trace(self, entry)
                     entry[2](*entry[3])
                     handle: Any = entry
+                elif len(entry) == 2:
+                    fired += self._plane(entry[0], entry[1], _INFINITY, max_events - fired)
+                    if fired >= max_events and self._live:
+                        raise RuntimeError(
+                            f"event loop exceeded {max_events} events; likely a livelock"
+                        )
+                    continue
                 else:
                     when, _, handle = entry
                     if handle.cancelled:

@@ -52,6 +52,8 @@ AUTO_RETUNE_CHECK_INTERVAL = 8192
 #: delays) and a retune is cheaper than sustained heap sifts.
 AUTO_RETUNE_OVERFLOW_SHARE = 0.25
 
+_INFINITY = float("inf")
+
 
 class UdpSocket:
     """A bound UDP port on a host.
@@ -696,7 +698,13 @@ class Network:
         if sock.handler is not None:
             sock.handler(payload, src, sock)
 
-    def _drain_cursor(self, deadline: float, budget: int) -> int:
+    def _drain_cursor(
+        self,
+        deadline: float,
+        budget: int,
+        send_when: float = _INFINITY,
+        send_seq: int = 0,
+    ) -> int:
         """Fire the cursor's leading run of batched datagram rows.
 
         Installed on the loop as its datagram plane
@@ -708,6 +716,12 @@ class Network:
         ``step`` semantics stay bit-identical to the classic per-entry
         path. Returns the number of rows fired (0 only when the cursor
         minimum lies beyond ``deadline``).
+
+        ``(send_when, send_seq)`` is the key of a send plane's next send
+        while its frame runs this drain (the head is then out of the
+        queue, so the drain must stop at it itself): a row keyed after
+        it ends the run. The dispatch loops leave it at ``+inf``, which
+        costs each row one float compare.
 
         Accounting (``loop._live``, ``datagrams_in_flight``,
         ``datagrams_delivered``) accumulates in locals and is flushed
@@ -737,6 +751,8 @@ class Network:
                 if len(top) != 6 or top[0] > deadline:
                     break
                 if heap and heap[0] < top:
+                    break
+                if top[0] >= send_when and (top[0] > send_when or top[1] > send_seq):
                     break
                 cursor.pop()
                 when, seq, host, port, payload, src = top

@@ -19,6 +19,15 @@ time-window protocol:
   timing-wheel/heap order with fresh local sequence numbers
   (:meth:`~repro.net.network.ShardNetwork.inject_batches`).
 
+Each shard's sends come from a precomputed, columnar traffic program
+drained by a **send plane** (:meth:`ShardWorker._pump`): one queued
+head entry stands for every remaining send, and one frame fires sends
+and the delivery rows between them in ``(when, seq)`` order — the head's
+``seq`` is drawn right after the previous send, where a per-send event
+would have been scheduled, so dispatch order, event counts and dispatch
+traces are exactly those of one queued event per send, without the
+queue entry, heap sift and dispatch pass each of those cost.
+
 Worker-count invariance (the digest oracle) rests on three rules, all
 enforced here and spelled out in ``docs/SHARDING.md``:
 
@@ -43,15 +52,20 @@ coordinator, or an in-process round-robin ("inline") coordinator when
 the run needs a single address space — one worker, an exact
 ``max_events`` budget, or an armed dispatch-trace hook (``verify
 --sanitize`` must see every shard's events in one
-:class:`~repro.analysis.sanitizer.DispatchTrace`).
+:class:`~repro.analysis.sanitizer.DispatchTrace`). A worker process
+that fails or dies surfaces as
+:class:`~repro.util.errors.ShardWorkerError`, naming its shard and
+barrier.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import multiprocessing
 import os
+import traceback
 from array import array
 from dataclasses import dataclass, field
 
@@ -59,7 +73,7 @@ from repro.net.clock import EventLoop
 from repro.net.faults import FaultInjector, FaultPlan, RandomFaultPlanner, load_plan
 from repro.net.network import Host, RemoteHostRef, ShardNetwork
 from repro.scenarios.arrivals import FlashCrowdArrivals
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, ShardWorkerError
 from repro.util.perf import peak_rss_kb
 from repro.util.rand import DeterministicRandom
 
@@ -219,7 +233,7 @@ def _region_program(workload: SwarmWorkload, region_index: int) -> _TrafficProgr
             spike_width_sec=max(window * 0.1, 0.001),
         )
         flash_times = process.times(rand, window)
-        if not flash_times:  # degenerate tiny windows: keep the pump alive
+        if not flash_times:  # degenerate tiny windows: keep one send time
             flash_times = [window * 0.5]
 
     when = program.when
@@ -265,8 +279,9 @@ def _shard_program(workload: SwarmWorkload, shard_id: int, num_shards: int) -> _
 
     Owned regions concatenate in ascending region order at every K, so
     the stable time sort leaves equal-time sends in the same relative
-    order a single shard owning all regions would produce — the pump
-    chain then executes sends in an order independent of K.
+    order a single shard owning all regions would produce — the send
+    plane then executes sends in an order independent of K. Each column
+    is gathered through the sort order in one ``array`` construction.
     """
     merged = _TrafficProgram()
     for region_index in range(len(workload.regions)):
@@ -282,12 +297,9 @@ def _shard_program(workload: SwarmWorkload, shard_id: int, num_shards: int) -> _
         return merged
     order = sorted(range(len(merged.when)), key=merged.when.__getitem__)
     out = _TrafficProgram()
-    for i in order:
-        out.when.append(merged.when[i])
-        out.src.append(merged.src[i])
-        out.dst.append(merged.dst[i])
-        out.u_latency.append(merged.u_latency[i])
-        out.u_fault.append(merged.u_fault[i])
+    for name in _TrafficProgram.__slots__:
+        col = getattr(merged, name)
+        setattr(out, name, array(col.typecode, map(col.__getitem__, order)))
     return out
 
 
@@ -336,7 +348,7 @@ class ShardFaultInjector(FaultInjector):
 
 
 class ShardWorker:
-    """One shard: its network slice, traffic pump and fault injector."""
+    """One shard: its network slice, send plane and fault injector."""
 
     def __init__(self, workload: SwarmWorkload, shard_id: int, num_shards: int) -> None:
         self.workload = workload
@@ -365,28 +377,98 @@ class ShardWorker:
         self.faults: ShardFaultInjector | None = None
         plan = build_fault_plan(workload)
         if len(plan):
-            # Armed before the pump starts, so fault events' sequence
-            # numbers precede every send's — at an exact time tie the
+            # Armed before the send plane, so fault events' sequence
+            # numbers precede the first send's — at an exact time tie the
             # fault applies first, at any worker count.
             self.faults = ShardFaultInjector(self.net, rand.fork("shard-faults"))
             self.faults.arm(plan)
         self.program = _shard_program(workload, shard_id, num_shards)
         self._cursor = 0
         self.peak_occupancy = 0
-        if len(self.program):
-            self.loop.schedule_fast(self.program.when[0], self._pump, ())
+        self._start_program()
 
-    def _pump(self) -> None:
-        """Execute one precomputed send, then chain to the next."""
+    def _start_program(self) -> None:
+        """Queue the send plane's head at the program's first send."""
+        if len(self.program):
+            self.loop.arm_send_plane(self.program.when[0], self._pump)
+
+    def _pump(self, when: float, seq: int, deadline: float, budget: int) -> int:
+        """The send plane's frame: fire due sends in ``(when, seq)`` order.
+
+        Called by the dispatch loops when the head ``(when, seq)`` — the
+        next send's key — is the queue's minimum and due. Each send is
+        one ``send_indexed`` call on the program's columns and one fired
+        event, reported to the trace hook and sinks as the entry
+        ``(when, seq, self._pump, ())`` — the shape and callsite of the
+        one-event-per-send pump this frame replaces, so dispatch traces
+        are unchanged. After each send the next send's ``seq`` is drawn
+        exactly where that pump scheduled its successor; batched
+        delivery rows keyed before it run through the network's drain
+        (told to stop at the send), and anything else that precedes it —
+        a timer, a classic entry, a row past ``deadline`` — or a spent
+        ``budget`` ends the frame and re-queues the head. The head stays
+        one ``pending`` event until the program's last send fires.
+        """
+        loop = self.loop
+        heap = loop._heap
         program = self.program
+        whens = program.when
+        srcs = program.src
+        dsts = program.dst
+        u_latency = program.u_latency
+        u_fault = program.u_fault
+        end = len(whens)
+        send = self.net.send_indexed
+        drain = self.net._drain_cursor
         i = self._cursor
-        self._cursor = i + 1
-        self.net.send_indexed(
-            program.src[i], program.dst[i], program.u_latency[i], program.u_fault[i]
-        )
-        i += 1
-        if i < len(program.when):
-            self.loop.schedule_fast(program.when[i], self._pump, ())
+        fired = 0
+        try:
+            while True:
+                loop.now = when
+                entry = None
+                trace = EventLoop._trace
+                if trace is not None:
+                    entry = (when, seq, self._pump, ())
+                    trace(loop, entry)
+                send(srcs[i], dsts[i], u_latency[i], u_fault[i])
+                i += 1
+                fired += 1
+                sinks = EventLoop._sinks
+                if sinks:
+                    if entry is None:
+                        entry = (when, seq, self._pump, ())
+                    for sink in sinks:
+                        sink.record(loop, entry)
+                if i == end:
+                    loop._live -= 1  # the head retires with the last send
+                    return fired
+                when = whens[i]
+                seq = next(loop._seq)
+                # Fire the delivery rows queued ahead of the next send.
+                while True:
+                    if fired >= budget or when > deadline:
+                        loop._enqueue((when, seq))
+                        return fired
+                    cursor = loop._cursor
+                    if not cursor and loop._wheel_count:
+                        loop._collect()
+                        cursor = loop._cursor
+                    if cursor:
+                        top = cursor[-1]
+                        if top[0] <= when and (top[0] < when or top[1] < seq):
+                            if len(top) == 6 and not (heap and heap[0] < top):
+                                fired += drain(deadline, budget - fired, when, seq)
+                                continue
+                            loop._enqueue((when, seq))
+                            return fired
+                    if heap:
+                        top = heap[0]
+                        if top[0] <= when and (top[0] < when or top[1] < seq):
+                            loop._enqueue((when, seq))
+                            return fired
+                    break
+        finally:
+            self._cursor = i
 
     def run_window(self, barrier: float, max_events: int | None = None) -> int:
         """Advance this shard to ``barrier``; returns events fired."""
@@ -636,10 +718,36 @@ def _run_inline(
     return _merge_reports(workload, workers, "inline", windows, reports)
 
 
-def _shard_worker_main(conn, workload: SwarmWorkload, shard_id: int, workers: int) -> None:
-    """Child-process loop: build the shard, then serve barrier commands."""
-    worker = ShardWorker(workload, shard_id, workers)
+def _shard_worker_main(
+    conn, workload: SwarmWorkload, shard_id: int, workers: int, inherited: tuple = ()
+) -> None:
+    """Child-process loop: build the shard, then serve barrier commands.
+
+    ``inherited`` are the coordinator's pipe ends the fork copied into
+    this child (its own and those of the shards forked earlier); the
+    child closes them at once, so each worker sees EOF as soon as the
+    coordinator closes its end.
+
+    Any exception — while building the shard, running a window or
+    writing the final report — goes back to the coordinator as
+    ``("error", shard_id, barrier, traceback)`` (``barrier`` is
+    ``None`` before the first window) instead of killing the child
+    with nothing but a closed pipe to show for it.
+    """
+    for other in inherited:
+        other.close()
+    barrier = None
     try:
+        # A worker builds hundreds of thousands of objects that live as
+        # long as it does, then only churns short-lived delivery rows.
+        # Collecting while building frees nothing, and every later full
+        # collection would walk all of it again: build with the
+        # collector off, then freeze what was built (and the heap the
+        # fork inherited) out of its reach.
+        gc.disable()
+        worker = ShardWorker(workload, shard_id, workers)
+        gc.freeze()
+        gc.enable()
         while True:
             try:
                 message = conn.recv()
@@ -651,17 +759,58 @@ def _shard_worker_main(conn, workload: SwarmWorkload, shard_id: int, workers: in
                 if batches:
                     worker.net.inject_batches(batches)
                 worker.run_window(barrier)
-                conn.send((worker.net.flush_egress(), worker.loop.pending))
+                conn.send(("window", worker.net.flush_egress(), worker.loop.pending))
             elif op == "finish":
-                conn.send(worker.final_report())
+                conn.send(("report", worker.final_report()))
             else:  # "exit"
                 break
+    except Exception:
+        try:
+            conn.send(("error", shard_id, barrier, traceback.format_exc()))
+        except OSError:  # pragma: no cover - the coordinator is gone too
+            pass
     finally:
         conn.close()
 
 
+def _reply(conn, proc, shard: int, barrier: float | None) -> tuple:
+    """Shard ``shard``'s next reply, or :class:`ShardWorkerError`.
+
+    An ``"error"`` reply raises with the worker's exception type,
+    message and traceback; a pipe that closes without a reply means the
+    child died hard, and the error says how it exited.
+    """
+    try:
+        reply = conn.recv()
+    except (EOFError, OSError):
+        proc.join(timeout=5)
+        raise ShardWorkerError(
+            shard, barrier,
+            f"worker process died without reporting (exit code {proc.exitcode})",
+        ) from None
+    if reply[0] == "error":
+        _, shard_id, at, worker_traceback = reply
+        lines = worker_traceback.strip().splitlines()
+        raise ShardWorkerError(shard_id, at, lines[-1], worker_traceback)
+    return reply
+
+
+def _command(conn, proc, shard: int, barrier: float | None, message: tuple) -> None:
+    """Send ``message`` to a worker; a closed pipe surfaces its failure."""
+    try:
+        conn.send(message)
+    except OSError:
+        _reply(conn, proc, shard, barrier)
+        raise ShardWorkerError(shard, barrier, "worker closed its pipe") from None
+
+
 def _run_processes(workload: SwarmWorkload, workers: int) -> ShardRunReport:
-    """Drive one worker process per shard through the window protocol."""
+    """Drive one worker process per shard through the window protocol.
+
+    A worker that fails or dies raises :class:`ShardWorkerError` naming
+    its shard and barrier; the ``finally`` closes every pipe, so the
+    sibling workers see EOF, exit and are joined before it propagates.
+    """
     try:
         context = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - platforms without fork
@@ -674,7 +823,7 @@ def _run_processes(workload: SwarmWorkload, workers: int) -> ShardRunReport:
             parent_conn, child_conn = context.Pipe()
             proc = context.Process(
                 target=_shard_worker_main,
-                args=(child_conn, workload, shard, workers),
+                args=(child_conn, workload, shard, workers, (*conns, parent_conn)),
                 daemon=True,
             )
             proc.start()
@@ -694,12 +843,12 @@ def _run_processes(workload: SwarmWorkload, workers: int) -> ShardRunReport:
                 )
             barrier += lookahead  # cumulative: see _run_inline
             for shard, conn in enumerate(conns):
-                conn.send(("run", barrier, inbox[shard]))
+                _command(conn, procs[shard], shard, barrier, ("run", barrier, inbox[shard]))
                 inbox[shard] = []
             moved = False
             total_pending = 0
-            for conn in conns:
-                egress, pending = conn.recv()
+            for shard, conn in enumerate(conns):
+                _, egress, pending = _reply(conn, procs[shard], shard, barrier)
                 total_pending += pending
                 # dict preserves insertion order and workers flush
                 # shards ascending, so each inbox accumulates batches in
@@ -710,10 +859,10 @@ def _run_processes(workload: SwarmWorkload, workers: int) -> ShardRunReport:
                     moved = True
             if not moved and total_pending == 0:
                 break
-        for conn in conns:
-            conn.send(("finish",))
-        for conn in conns:
-            reports.append(conn.recv())
+        for shard, conn in enumerate(conns):
+            _command(conn, procs[shard], shard, barrier, ("finish",))
+        for shard, conn in enumerate(conns):
+            reports.append(_reply(conn, procs[shard], shard, barrier)[1])
         for conn in conns:
             conn.send(("exit",))
     finally:

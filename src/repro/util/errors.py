@@ -68,3 +68,28 @@ class IntegrityError(ReproError):
 
 class BlacklistedPeerError(ReproError):
     """A blacklisted peer attempted to interact with the PDN server."""
+
+
+class ShardWorkerError(ReproError):
+    """A sharded-swarm worker process failed or died mid-run.
+
+    Names the shard, the window barrier it was serving (``None`` while
+    the worker was still building its shard) and the cause: the
+    worker's exception type and message, or how the process ended when
+    it died without reporting. ``worker_traceback`` holds the worker's
+    formatted traceback when it sent one.
+    """
+
+    def __init__(
+        self,
+        shard: int,
+        barrier: float | None,
+        cause: str,
+        worker_traceback: str = "",
+    ) -> None:
+        where = "while building" if barrier is None else f"at barrier {barrier!r}"
+        super().__init__(f"shard {shard} failed {where}: {cause}")
+        self.shard = shard
+        self.barrier = barrier
+        self.cause = cause
+        self.worker_traceback = worker_traceback
