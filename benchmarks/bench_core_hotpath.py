@@ -28,6 +28,7 @@ import json
 import os
 import pathlib
 import platform
+import subprocess
 import sys
 
 if __name__ == "__main__":  # allow running without PYTHONPATH=src
@@ -159,6 +160,7 @@ def bench_swarm(viewers: int, datagrams: int, capture: bool = False) -> dict:
         "events_per_sec": fired / timer.elapsed if timer.elapsed else 0.0,
         "datagrams_per_sec": sent / timer.elapsed if timer.elapsed else 0.0,
         "peak_rss_kb": peak_rss_kb(),
+        "cpus": _cpus(),
         # Timing-wheel counters: in a healthy run nearly every delivery
         # is in-band (scheduled >> overflow); a collapsing ratio means
         # the wheel geometry no longer matches the latency band.
@@ -178,44 +180,46 @@ def bench_swarm_sharded(viewers: int, datagrams: int, ladder: tuple[int, ...],
     baseline records the workers-N-vs-1 speedup and per-worker RSS.
     Note the speedup is only meaningful on a box with >= ladder[-1]
     cores — ``cpus`` in the top-level report says what this run had.
+
+    Each rung runs in a fresh interpreter (:func:`_run_rung`): forked
+    workers inherit their parent's heap, so a rung run after an inline
+    one in the same process would report that rung's retained heap as
+    its workers' peak RSS.
     """
-    workload = SwarmWorkload(viewers=viewers, datagrams=datagrams,
-                             arrivals=arrivals)
     rungs: dict[str, dict] = {}
     digest = ""
-    report = None
+    rung: dict = {}
     for workers in ladder:
-        with WallTimer() as timer:
-            report = run_workload(workload, workers)
-        if digest and report.digest != digest:
+        rung = _run_rung(viewers, datagrams, workers, arrivals)
+        if digest and rung["digest"] != digest:
             raise SystemExit(
-                f"sharded digest diverged at workers={report.workers}: "
-                f"{report.digest} != {digest} — the window protocol is broken"
+                f"sharded digest diverged at workers={rung['workers']}: "
+                f"{rung['digest']} != {digest} — the window protocol is broken"
             )
-        digest = report.digest
-        wall = timer.elapsed
-        rungs[str(report.workers)] = {
-            "mode": report.mode,
+        digest = rung["digest"]
+        wall = rung["wall_seconds"]
+        rungs[str(rung["workers"])] = {
+            "mode": rung["mode"],
             "wall_seconds": wall,
-            "events_per_sec": report.events_fired / wall if wall else 0.0,
-            "worker_peak_rss_kb": [s["peak_rss_kb"] for s in report.per_shard],
+            "events_per_sec": rung["events_fired"] / wall if wall else 0.0,
+            "worker_peak_rss_kb": rung["worker_peak_rss_kb"],
         }
     first = rungs[str(min(int(k) for k in rungs))]
-    final = rungs[str(report.workers)]
+    final = rungs[str(rung["workers"])]
     wall = final["wall_seconds"]
     out = {
         "arrivals": arrivals,
-        "datagrams": report.totals["sent"],
-        "delivered": report.totals["delivered"],
+        "datagrams": rung["sent"],
+        "delivered": rung["delivered"],
         "digest": digest,
-        "events_fired": report.events_fired,
-        "windows": report.windows,
+        "events_fired": rung["events_fired"],
+        "windows": rung["windows"],
         "workers": rungs,
         "wall_seconds": wall,
         "events_per_sec": final["events_per_sec"],
-        "datagrams_per_sec": report.totals["sent"] / wall if wall else 0.0,
+        "datagrams_per_sec": rung["sent"] / wall if wall else 0.0,
         "peak_rss_kb": max(final["worker_peak_rss_kb"]),
-        "wheel": report.wheel_summary(),
+        "wheel": rung["wheel"],
         # What the rungs ran on: --check gates a sharded scenario only
         # against a baseline with the same final rung and cpu count.
         "cpus": _cpus(),
@@ -223,6 +227,37 @@ def bench_swarm_sharded(viewers: int, datagrams: int, ladder: tuple[int, ...],
     if len(rungs) > 1 and "1" in rungs:
         out["speedup_vs_1"] = first["wall_seconds"] / wall if wall else 0.0
     return out
+
+
+def _run_rung(viewers: int, datagrams: int, workers: int, arrivals: str) -> dict:
+    """Run one ladder rung in a fresh interpreter; returns its summary."""
+    spec = json.dumps([viewers, datagrams, workers, arrivals])
+    proc = subprocess.run([sys.executable, str(pathlib.Path(__file__).resolve()),
+                           "--rung", spec], capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"ladder rung {spec} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _rung_main(spec: str) -> int:
+    """``--rung`` entry point: one sharded run, summarised as a JSON line."""
+    viewers, datagrams, workers, arrivals = json.loads(spec)
+    workload = SwarmWorkload(viewers=viewers, datagrams=datagrams, arrivals=arrivals)
+    with WallTimer() as timer:
+        report = run_workload(workload, workers)
+    print(json.dumps({
+        "workers": report.workers,
+        "mode": report.mode,
+        "wall_seconds": timer.elapsed,
+        "digest": report.digest,
+        "events_fired": report.events_fired,
+        "windows": report.windows,
+        "sent": report.totals["sent"],
+        "delivered": report.totals["delivered"],
+        "wheel": report.wheel_summary(),
+        "worker_peak_rss_kb": [s["peak_rss_kb"] for s in report.per_shard],
+    }))
+    return 0
 
 
 def run_suite(smoke: bool = False, scenarios: list[str] | None = None,
@@ -377,7 +412,10 @@ def main(argv: list[str] | None = None) -> int:
                         default="uniform",
                         help="send-time process for the sharded scenarios; "
                              "flash-crowd reports under a suffixed scenario name")
+    parser.add_argument("--rung", default=None, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.rung is not None:
+        return _rung_main(args.rung)
     if args.scenarios is not None and not args.no_write and args.out == DEFAULT_OUT:
         parser.error("--scenarios produces a partial report; committing it as the "
                      "baseline would blind the regression gate — add --no-write "

@@ -25,7 +25,7 @@ of the same seed must produce identical fingerprints;
 *first* event where they disagree — time, site, and event index — so a
 cross-run or cross-jobs digest mismatch turns into a line number
 instead of a bisection. Snapshots are plain picklable data and travel
-back from ``ProcessPoolExecutor`` workers inside each run record.
+back from ``pool_map`` worker processes inside each run record.
 
 Everything here runs on the *host* side of the simulation boundary:
 patching the clock it polices is this module's job, so its DET001 /

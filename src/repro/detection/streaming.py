@@ -394,7 +394,8 @@ class StreamingDetectionPipeline:
         if self.max_shards is not None:
             pending = pending[: self.max_shards]
         tasks = [(self.seed, self.config, index, self.shards) for index in pending]
-        for state in pool_map(scan_shard, tasks, jobs=self.scan_jobs):
+        for state in pool_map(scan_shard, tasks, jobs=self.scan_jobs,
+                              name=lambda task: f"corpus shard {task[2]}"):
             states.append(state)
             covered.add(state.shard_index)
             if manifest is not None:

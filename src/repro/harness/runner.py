@@ -3,7 +3,7 @@
 :func:`execute_spec` is the unit of work — resolve a spec, run it under
 an event counter (and optionally a per-site profiler), and package a
 picklable :class:`RunOutcome`. :class:`Runner` fans those units out,
-either in-process or across a ``ProcessPoolExecutor`` (experiments are
+either in-process or across worker processes (experiments are
 independent and fully seeded, so ``repro all --jobs N`` is
 embarrassingly parallel), writes artifacts under ``--out``, and powers
 ``repro verify``: re-run every experiment at the same seed and fail on
@@ -19,18 +19,20 @@ divergent event when digests disagree instead of just the mismatch.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.analysis.sanitizer import TraceSnapshot, first_divergence, sanitized_run
 from repro.harness import registry
 from repro.harness.manifest import RunRecord
 from repro.harness.profile import EventCounter, SiteProfiler, capture_events
 from repro.harness.result import canonical_json, content_digest
+from repro.util.errors import PoolWorkerError
 from repro.util.perf import WallTimer, peak_rss_kb, reset_peak_rss, unix_now
 from repro.util.tables import render_table
 
@@ -40,8 +42,13 @@ def detsan_env_enabled() -> bool:
     return os.environ.get("REPRO_DETSAN", "") not in ("", "0")
 
 
-def pool_map(fn, items: Iterable, jobs: int = 1) -> list:
-    """Map ``fn`` over ``items``, optionally across a process pool.
+def pool_map(
+    fn,
+    items: Iterable,
+    jobs: int = 1,
+    name: Callable[[Any], str] = repr,
+) -> list:
+    """Map ``fn`` over ``items``, optionally across worker processes.
 
     The harness's one parallelism seam: ``Runner.run`` fans experiment
     specs through it, and the streaming detection driver fans corpus
@@ -50,12 +57,62 @@ def pool_map(fn, items: Iterable, jobs: int = 1) -> list:
     reduce over results without caring which path executed — ``jobs=1``
     (or a single item) stays in-process, which keeps nested use inside
     already-pooled workers cheap and sanitizer-friendly.
+
+    In parallel, each item runs in its own worker process, at most
+    ``jobs`` at a time. A shared pool cannot say which item killed one
+    of its workers (every pending future just breaks), so this can: an
+    exception raised by ``fn`` or a worker that dies without replying
+    raises :class:`~repro.util.errors.PoolWorkerError` naming
+    ``name(item)`` and the cause, and the remaining workers are stopped.
     """
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+    context = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn")
+    results: list = [None] * len(items)
+    todo = list(range(len(items)))[::-1]
+    running: dict = {}  # reply pipe -> (item index, process)
+    try:
+        while todo or running:
+            while todo and len(running) < jobs:
+                index = todo.pop()
+                reply, child_end = context.Pipe(duplex=False)
+                proc = context.Process(target=_pool_worker, args=(fn, items[index], child_end))
+                proc.start()
+                child_end.close()
+                running[reply] = (index, proc)
+            for reply in sorted(wait(list(running)), key=lambda conn: running[conn][0]):
+                index, proc = running.pop(reply)
+                try:
+                    status, payload, trace = reply.recv()
+                except EOFError:
+                    proc.join()
+                    raise PoolWorkerError(
+                        name(items[index]),
+                        f"worker process died with exit code {proc.exitcode}") from None
+                finally:
+                    reply.close()
+                proc.join()
+                if status == "error":
+                    raise PoolWorkerError(name(items[index]), payload, trace)
+                results[index] = payload
+    finally:
+        for reply, (_, proc) in running.items():
+            proc.terminate()
+            proc.join()
+            reply.close()
+    return results
+
+
+def _pool_worker(fn, item, reply) -> None:
+    """Worker-process body of :func:`pool_map`: run one item, send the outcome."""
+    try:
+        outcome = ("ok", fn(item), "")
+    except BaseException as exc:  # every failure goes home, named
+        outcome = ("error", f"{type(exc).__name__}: {exc}", traceback.format_exc())
+    reply.send(outcome)
+    reply.close()
 
 
 @dataclass
@@ -241,7 +298,8 @@ class Runner:
         """Execute every request, preserving input order in the output."""
         requests = list(requests)
         work = [(r.name, r.seed, r.params, self.profile, self.sanitize) for r in requests]
-        outcomes = pool_map(_execute_request, work, jobs=self.jobs)
+        outcomes = pool_map(_execute_request, work, jobs=self.jobs,
+                            name=lambda args: f"experiment {args[0]!r}")
         if self.out_dir is not None:
             for outcome in outcomes:
                 self.write_artifacts(outcome)

@@ -11,7 +11,7 @@ fire one event per delivery), so the scheduler is two-tier:
 
 - a **timing wheel** (calendar queue) of fixed-width buckets covering
   the narrow in-flight-datagram delay band — O(1) append on schedule,
-  one small Timsort per bucket at dispatch time — holds the short-delay
+  one index sort per bucket at dispatch time — holds the short-delay
   timer class that dominates at swarm depth;
 - the classic **binary heap** holds everything out of band: long fault
   timers, repeating :meth:`EventLoop.call_every` handles, and wheel
@@ -60,6 +60,9 @@ DEFAULT_WHEEL_WIDTH = 0.0005
 #: Floor for a derived bucket width — a degenerate band (all-zero
 #: latencies) must not produce zero-width buckets.
 MIN_WHEEL_WIDTH = 1e-5
+
+#: A ``_hold`` key below every queue entry: no collected entry pending.
+_NO_HOLD = (-_INFINITY, 0)
 
 
 class TimerHandle:
@@ -139,27 +142,25 @@ class EventLoop:
     width)``: an entry whose bucket index (``int(when / width)``) falls
     in that window is appended to its bucket in O(1); everything else —
     including every entry while the wheel is disabled — goes to the
-    heap. At dispatch time the next due bucket is *collected*: sorted
-    descending by ``(when, seq)`` into ``_cursor`` so ``cursor.pop()``
-    yields events in ascending order, then merged entry-by-entry
-    against the heap top. Buckets partition time, so every uncollected
-    wheel entry is strictly later than every cursor entry, and the
-    global minimum is always ``min(cursor[-1], heap[0])``.
+    heap. At dispatch time the next due bucket is *collected*: its
+    generic entries (handles, 4-tuples, a send plane's head) go onto the
+    heap and its datagram rows become the **row cursor**. Buckets
+    partition time, so the global minimum is always the smaller of
+    ``heap[0]`` and the cursor's head: every dispatch site chooses
+    between exactly those two heads.
 
-    **Batched datagram columns.** Each slot additionally owns three
-    *column rings* — ``array('d')`` of whens, ``array('q')`` of seqs,
-    and a flat stride-4 object list of ``(host, port, payload, src)``
-    fields — that the network's send path appends in-band datagram
-    deliveries into instead of building per-datagram entry tuples
-    (:meth:`set_datagram_plane`). The columns are preallocated with the
-    wheel geometry and cleared in place at collect time, so the same
-    arrays are reused lap after lap. Collection zips the columns into
-    sortable 6-field rows ``(when, seq, host, port, payload, src)``,
-    sorts them together with the slot's generic entries — ``(when,
-    seq)`` is a unique prefix, so mixed-shape tuples compare safely —
-    and dispatch hands each contiguous run of rows to the installed
+    **Batched datagram columns.** Each slot owns three *column rings* —
+    ``array('d')`` of whens, ``array('q')`` of seqs, and a flat stride-4
+    list of ``(host, port, payload, src)`` — that the network's send
+    paths append in-band deliveries into, drawing each seq as they
+    append (:meth:`set_datagram_plane`). Collection swaps the slot's
+    columns for the spent cursor's, so arrays are reused lap after lap,
+    and makes the cursor the row indices stably sorted by ``when`` and
+    reversed for ``pop()``: ties keep seq order. No per-row object is
+    built, so nothing is left for the garbage collector to walk.
+    Dispatch hands each contiguous run of due rows to the installed
     drain in **one callback frame**, still merging per item against the
-    heap top so dispatch order stays bit-identical to a pure-heap loop.
+    heap top.
 
     **Send plane.** A loop may also drive one precomputed send program
     (:meth:`arm_send_plane`, used by :mod:`repro.net.shard`): a single
@@ -173,9 +174,10 @@ class EventLoop:
     #: per event, and slot access skips the instance-dict indirection.
     __slots__ = (
         "now", "_heap", "_seq", "_events_fired", "_live",
-        "_wheel", "_cursor", "_wheel_tick", "_wheel_count",
+        "_wheel", "_wheel_tick", "_wheel_count",
         "_wheel_width", "_wheel_inv", "_wheel_slots",
-        "_bwhen", "_bseq", "_bobjs", "_dg_drain", "_dg_callback", "_plane",
+        "_bwhen", "_bseq", "_bobjs", "_order", "_rwhen", "_rseq", "_robjs",
+        "_hold", "_dg_drain", "_dg_callback", "_plane",
         "wheel_scheduled", "wheel_overflow",
         "wheel_batched", "wheel_batch_drains",
     )
@@ -199,12 +201,11 @@ class EventLoop:
         self._heap: list[tuple] = []
         self._seq = itertools.count()
         self._events_fired = 0
-        #: Not-yet-cancelled entries queued (heap + wheel + cursor) — the
-        #: O(1) source of :attr:`pending`, maintained by push/cancel/pop.
+        #: Not-yet-cancelled entries queued (heap + wheel + row cursor) —
+        #: the O(1) source of :attr:`pending`, maintained by push/cancel/pop.
         self._live = 0
         # -- timing wheel state (geometry set by configure_wheel) ------
         self._wheel: list[list] = []
-        self._cursor: list = []  # collected bucket, sorted descending
         self._wheel_tick = 0  # next bucket index not yet collected
         self._wheel_count = 0  # entries resident in buckets (not cursor)
         self._wheel_width = 0.0
@@ -214,6 +215,16 @@ class EventLoop:
         self._bwhen: list = []
         self._bseq: list = []
         self._bobjs: list = []
+        # -- row cursor: the collected columns and unfired row indices,
+        # ``when``-descending so pop() is the head.
+        self._order: list[int] = []
+        self._rwhen = array("d")
+        self._rseq = array("q")
+        self._robjs: list = []
+        #: Key just past the collected bucket's last generic entry: the
+        #: next bucket is not collected while ``heap[0] < _hold``, so
+        #: buckets advance when a whole-bucket cursor would have run dry.
+        self._hold: tuple = _NO_HOLD
         #: Installed by :meth:`set_datagram_plane`; ``None`` on loops
         #: with no network attached (pure-timer loops never see rows).
         self._dg_drain: Any = None
@@ -258,7 +269,7 @@ class EventLoop:
         """Install the network's batched datagram delivery plane.
 
         ``drain(deadline, budget) -> fired`` is invoked by the dispatch
-        loops whenever the cursor's minimum is a batched 6-field row: it
+        loops whenever the row cursor's head is the queue minimum: it
         must pop and fire consecutive due rows (merging per item against
         the heap top and honouring ``deadline``/``budget``) and return
         how many it fired. ``callback`` is the representative
@@ -294,8 +305,9 @@ class EventLoop:
 
     @property
     def wheel_occupancy(self) -> int:
-        """Entries currently wheel-resident (buckets plus cursor)."""
-        return self._wheel_count + len(self._cursor)
+        """Entries currently wheel-resident: bucket residents plus unfired
+        cursor rows (a collected bucket's generic entries are on the heap)."""
+        return self._wheel_count + len(self._order)
 
     def wheel_stats(self) -> dict:
         """The wheel's geometry and counters, for profile sinks/benches."""
@@ -309,35 +321,30 @@ class EventLoop:
             "batch_drains": self.wheel_batch_drains,
         }
 
-    def _iter_batch_rows(self, slot: int):
-        """Yield one slot's batched rows as legacy-shaped 4-tuples."""
-        objs = self._bobjs[slot]
-        it = iter(objs)
+    def _iter_column_rows(self):
+        """Yield every queued batched row, cursor first, legacy-shaped."""
         cb = self._dg_callback
-        for when, seq, host, port, payload, src in zip(
-            self._bwhen[slot], self._bseq[slot], it, it, it, it
-        ):
-            yield (when, seq, cb, (host, port, payload, src))
+        sets = [(self._rwhen, self._rseq, self._robjs, reversed(self._order))]
+        sets += [(w, s, o, range(len(w))) for w, s, o in zip(self._bwhen, self._bseq, self._bobjs)]
+        for whens, seqs, objs, rows in sets:
+            for i in rows:
+                yield (whens[i], seqs[i], cb, tuple(objs[4 * i:4 * i + 4]))
 
     def _iter_queued(self):
         """Yield every queued entry across both tiers (tests/debug only).
 
-        Batched datagram rows — column-resident or already collected
-        into the cursor — and a send plane's head surface in the legacy
-        ``(when, seq, callback, args)`` shape so queue scans need only
-        one tuple vocabulary.
+        Batched datagram rows — column-resident or in the row cursor —
+        and a send plane's head surface in the legacy ``(when, seq,
+        callback, args)`` shape so queue scans need only one tuple
+        vocabulary.
         """
-        cb = self._dg_callback
         plane = self._plane
-        for entry in itertools.chain(self._heap, self._cursor, *self._wheel):
-            if len(entry) == 6:
-                yield (entry[0], entry[1], cb, entry[2:])
-            elif len(entry) == 2:
+        for entry in itertools.chain(self._heap, *self._wheel):
+            if len(entry) == 2:
                 yield (entry[0], entry[1], plane, ())
             else:
                 yield entry
-        for slot in range(len(self._bwhen)):
-            yield from self._iter_batch_rows(slot)
+        yield from self._iter_column_rows()
 
     # -- wheel geometry --------------------------------------------------
 
@@ -348,10 +355,10 @@ class EventLoop:
     ) -> None:
         """Resize the wheel; ``bucket_width=None`` or ``slots=0`` disables it.
 
-        Safe mid-run: bucket-resident entries are flushed to the heap
-        and dispatch merges the tiers by ``(when, seq)``, so event order
-        is unchanged. The already-collected cursor is left in place for
-        the same reason. Counters survive reconfiguration.
+        Safe mid-run: bucket residents and the row cursor are flushed to
+        the heap (the cursor too: the new origin is ``now``, so a later
+        in-band entry may land before its rows), and dispatch merges the
+        tiers by ``(when, seq)``. Counters survive reconfiguration.
         """
         if bucket_width is not None and bucket_width <= 0:
             raise ConfigurationError(f"bucket width must be positive (got {bucket_width})")
@@ -362,9 +369,10 @@ class EventLoop:
         # Batched datagram rows flush in the legacy entry shape, so a
         # reconfigured (or disabled) wheel degrades to the classic
         # per-entry heap path with order intact.
-        for slot in range(len(self._bwhen)):
-            for entry in self._iter_batch_rows(slot):
-                heappush(heap, entry)
+        for entry in self._iter_column_rows():
+            heappush(heap, entry)
+        self._order = []
+        self._hold = _NO_HOLD
         if bucket_width is None or slots <= 0:
             self._wheel = []
             self._bwhen = []
@@ -417,9 +425,9 @@ class EventLoop:
     def _enqueue(self, entry: tuple) -> None:
         """Route one ``(when, seq, …)`` entry to the wheel or the heap.
 
-        Kept in sync with the inline copy in
-        :meth:`repro.net.network.Network.send_datagram` (a call frame
-        per datagram is measurable at swarm scale).
+        The network's send paths inline the same band test for their
+        column appends (a call frame per datagram is measurable at swarm
+        scale).
         """
         tick = int(entry[0] * self._wheel_inv)
         if 0 <= tick - self._wheel_tick < self._wheel_slots:
@@ -431,7 +439,8 @@ class EventLoop:
 
     def _overflow(self, entry: tuple, tick: int) -> None:
         """Heap fallback for out-of-band entries (resyncs an idle wheel)."""
-        if self._wheel_slots and not self._wheel_count and not self._cursor:
+        if (self._wheel_slots and not self._wheel_count and not self._order
+                and not (self._heap and self._heap[0] < self._hold)):
             base = int(self.now * self._wheel_inv)
             if base > self._wheel_tick:
                 # The wheel sat idle while heap events advanced the
@@ -462,17 +471,11 @@ class EventLoop:
     def schedule_fast(self, when: float, callback: Callable[..., Any], args: tuple) -> None:
         """Trusted fast path for hot callers: anonymous, not cancellable.
 
-        The network data plane schedules one delivery per datagram; this
-        skips :meth:`schedule`'s bounds check and the whole
-        :class:`TimerHandle` allocation — the queue entry itself becomes
-        a ``(when, seq, callback, args)`` 4-tuple the dispatch paths
-        special-case by length (one container allocation per event
-        instead of two, which also halves this path's GC pressure). The
-        caller guarantees ``when >= now`` and gets no handle back, so
-        the event cannot be cancelled (in-flight datagrams never are;
-        faults drop at delivery time instead). This is the timer class
-        the wheel was built for: in-band entries take an O(1) bucket
-        append instead of an O(log n) heap sift.
+        Skips :meth:`schedule`'s bounds check and the
+        :class:`TimerHandle`: the queue entry itself is a ``(when, seq,
+        callback, args)`` 4-tuple the dispatch paths special-case by
+        length. The caller guarantees ``when >= now`` and gets no handle
+        back, so the event cannot be cancelled.
         """
         self._live += 1
         self._enqueue((when, next(self._seq), callback, args))
@@ -511,16 +514,15 @@ class EventLoop:
 
     # -- execution -------------------------------------------------------
 
-    # step(), run_until() and run_all() intentionally duplicate the fire
-    # sequence (two-tier selection, anonymous-vs-handle branch,
-    # live-counter bookkeeping, pre-fire trace hook, repeating-vs-plain
-    # branch, sink notification): one event is one pass through this code, and the
-    # extra call frames of a shared helper are measurable at swarm
-    # scale. Selection invariant: _collect() is called whenever the
-    # cursor is empty and buckets are not, so the wheel's minimum entry
-    # is always cursor[-1] and the global minimum is the smaller of
-    # cursor[-1] and heap[0] by (when, seq) tuple comparison (seq is
-    # unique, so the comparison never reaches the callback element).
+    # step(), run_until(), run_until_window() and run_all() intentionally
+    # duplicate the fire sequence (two-head selection, anonymous-vs-handle
+    # branch, live-counter bookkeeping, pre-fire trace hook,
+    # repeating-vs-plain branch, sink notification): one event is one
+    # pass through this code, and the extra call frames of a shared
+    # helper are measurable at swarm scale. Selection: the smaller of
+    # heap[0] and the row head by ``(when, seq)`` (seq is unique, so a
+    # comparison never reaches a third element); a due row head goes to
+    # the drain, which fires the whole consecutive run in one frame.
     # Anonymous events — the ``(when, seq, callback, args)`` 4-tuples
     # pushed by :meth:`schedule_fast` — take the first fire branch: no
     # cancelled check, no handle bookkeeping. Sinks receive the raw
@@ -528,80 +530,72 @@ class EventLoop:
     # A bare ``(when, seq)`` 2-tuple is a send plane's head
     # (:meth:`arm_send_plane`): the loop hands it the deadline and the
     # remaining budget and adds what the frame fired, as it does for
-    # the batched-row drain; the head's ``pending`` count is the
-    # frame's to release.
+    # the row drain; the head's ``pending`` count is the frame's to
+    # release.
     # run_until() and run_all() accumulate the fired count in a local
     # and flush it in a ``finally``, so ``events_fired`` is only
     # guaranteed current *between* drain calls — no in-tree callback
     # reads it mid-drain.
 
     def _collect(self) -> None:
-        """Move the next nonempty bucket into the sorted cursor.
+        """Collect the next nonempty bucket (see the class docstring).
 
-        Only called when the cursor is empty and ``_wheel_count > 0``;
+        Only called when the row cursor is empty, no earlier collected
+        generic entry is still on the heap, and ``_wheel_count > 0``;
         every resident entry lies within one lap ahead of
-        ``_wheel_tick`` (the enqueue band check guarantees it), so the
-        scan terminates within ``slots`` probes. The bucket is sorted
-        descending so ``cursor.pop()`` yields ``(when, seq)`` ascending.
-
-        A slot's batched datagram columns are zipped into 6-field rows
-        here, sorted together with the slot's generic entries (the
-        unique ``(when, seq)`` prefix makes mixed-shape comparison
-        safe), and the columns are cleared *in place* so their backing
-        arrays are reused on the wheel's next lap.
+        ``_wheel_tick``, so the scan ends within ``slots`` probes.
         """
         wheel = self._wheel
         bwhen = self._bwhen
         n = self._wheel_slots
         tick = self._wheel_tick
         slot = tick % n
-        bucket = wheel[slot]
-        while not bucket and not bwhen[slot]:
+        while not wheel[slot] and not bwhen[slot]:
             tick += 1
             slot = tick % n
-            bucket = wheel[slot]
         self._wheel_tick = tick + 1
-        when = bwhen[slot]
-        if when:
-            seq = self._bseq[slot]
-            objs = self._bobjs[slot]
-            it = iter(objs)
-            rows = list(zip(when, seq, it, it, it, it))
-            self._wheel_count -= len(rows) + len(bucket)
-            if bucket:
-                rows += bucket
-                wheel[slot] = []
-            del when[:]
-            del seq[:]
-            del objs[:]
-            rows.sort(reverse=True)
-            self._cursor = rows
-        else:
+        bucket = wheel[slot]
+        if bucket:
             wheel[slot] = []
             self._wheel_count -= len(bucket)
-            bucket.sort(reverse=True)
-            self._cursor = bucket
+            heap = self._heap
+            for entry in bucket:
+                heappush(heap, entry)
+            last = max(bucket)
+            self._hold = (last[0], last[1] + 1)
+        else:
+            self._hold = _NO_HOLD
+        whens = bwhen[slot]
+        if whens:
+            bseq = self._bseq
+            bobjs = self._bobjs
+            spare_when, spare_seq, spare_objs = self._rwhen, self._rseq, self._robjs
+            del spare_when[:], spare_seq[:], spare_objs[:]
+            self._rwhen, self._rseq, self._robjs = whens, bseq[slot], bobjs[slot]
+            bwhen[slot], bseq[slot], bobjs[slot] = spare_when, spare_seq, spare_objs
+            self._wheel_count -= len(whens)
+            order = sorted(range(len(whens)), key=whens.__getitem__)
+            order.reverse()
+            self._order = order
 
     def step(self) -> bool:
         """Fire the next event. Returns False when the queue is empty."""
         heap = self._heap
         while True:
-            cursor = self._cursor
-            if not cursor and self._wheel_count:
+            order = self._order
+            if not order and self._wheel_count and not (heap and heap[0] < self._hold):
                 self._collect()
-                cursor = self._cursor
-            if cursor:
-                top = cursor[-1]
-                if heap and heap[0] < top:
+                order = self._order
+            if order:
+                i = order[-1]
+                if heap and heap[0] < (self._rwhen[i], self._rseq[i]):
                     entry = heappop(heap)
-                elif len(top) == 6:
+                else:
                     # Batched datagram row: the installed drain fires
                     # exactly one (budget=1) and keeps step() semantics.
                     self._dg_drain(_INFINITY, 1)
                     self._events_fired += 1
                     return True
-                else:
-                    entry = cursor.pop()
             elif heap:
                 entry = heappop(heap)
             else:
@@ -643,32 +637,28 @@ class EventLoop:
         fired = 0
         try:
             while True:
-                # Re-read per iteration: _collect() replaces the cursor
-                # object, and a callback may nest another drain call.
-                cursor = self._cursor
-                if not cursor and self._wheel_count:
+                # Re-read per iteration: _collect() replaces the cursor,
+                # and a callback may nest another drain call.
+                order = self._order
+                if not order and self._wheel_count and not (heap and heap[0] < self._hold):
                     self._collect()
-                    cursor = self._cursor
-                if cursor:
-                    top = cursor[-1]
-                    if heap and heap[0] < top:
+                    order = self._order
+                if order:
+                    i = order[-1]
+                    if heap and heap[0] < (self._rwhen[i], self._rseq[i]):
                         if heap[0][0] > deadline:
                             break
                         entry = heappop(heap)
-                    elif len(top) == 6:
+                    else:
                         # Batched datagram run: one drain frame fires
                         # every consecutive due row (per-item heap
-                        # merge inside); zero fired means the cursor
-                        # minimum lies beyond the deadline.
+                        # merge inside); zero fired means the row head
+                        # lies beyond the deadline.
                         n = self._dg_drain(deadline, _MAX_EVENTS)
                         if n == 0:
                             break
                         fired += n
                         continue
-                    else:
-                        if top[0] > deadline:
-                            break
-                        entry = cursor.pop()
                 elif heap:
                     if heap[0][0] > deadline:
                         break
@@ -734,19 +724,19 @@ class EventLoop:
         fired = 0
         try:
             while True:
-                # Re-read per iteration: _collect() replaces the cursor
-                # object, and a callback may nest another drain call.
-                cursor = self._cursor
-                if not cursor and self._wheel_count:
+                # Re-read per iteration: _collect() replaces the cursor,
+                # and a callback may nest another drain call.
+                order = self._order
+                if not order and self._wheel_count and not (heap and heap[0] < self._hold):
                     self._collect()
-                    cursor = self._cursor
-                if cursor:
-                    top = cursor[-1]
-                    if heap and heap[0] < top:
+                    order = self._order
+                if order:
+                    i = order[-1]
+                    if heap and heap[0] < (self._rwhen[i], self._rseq[i]):
                         if heap[0][0] > deadline:
                             break
                         entry = heappop(heap)
-                    elif len(top) == 6:
+                    else:
                         n = self._dg_drain(deadline, budget - fired)
                         if n == 0:
                             break
@@ -754,10 +744,6 @@ class EventLoop:
                         if fired >= budget:
                             break
                         continue
-                    else:
-                        if top[0] > deadline:
-                            break
-                        entry = cursor.pop()
                 elif heap:
                     if heap[0][0] > deadline:
                         break
@@ -832,17 +818,17 @@ class EventLoop:
         fired = 0
         try:
             while True:
-                # Re-read per iteration: _collect() replaces the cursor
-                # object, and a callback may nest another drain call.
-                cursor = self._cursor
-                if not cursor and self._wheel_count:
+                # Re-read per iteration: _collect() replaces the cursor,
+                # and a callback may nest another drain call.
+                order = self._order
+                if not order and self._wheel_count and not (heap and heap[0] < self._hold):
                     self._collect()
-                    cursor = self._cursor
-                if cursor:
-                    top = cursor[-1]
-                    if heap and heap[0] < top:
+                    order = self._order
+                if order:
+                    i = order[-1]
+                    if heap and heap[0] < (self._rwhen[i], self._rseq[i]):
                         entry = heappop(heap)
-                    elif len(top) == 6:
+                    else:
                         # Batched datagram run: one drain frame, exact
                         # max_events budget (the drain stops mid-run
                         # rather than firing a budget+1-th event).
@@ -853,8 +839,6 @@ class EventLoop:
                                 "likely a livelock"
                             )
                         continue
-                    else:
-                        entry = cursor.pop()
                 elif heap:
                     entry = heappop(heap)
                 else:

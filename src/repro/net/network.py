@@ -705,60 +705,69 @@ class Network:
         send_when: float = _INFINITY,
         send_seq: int = 0,
     ) -> int:
-        """Fire the cursor's leading run of batched datagram rows.
+        """Fire the row cursor's leading run of batched datagram rows.
 
         Installed on the loop as its datagram plane
         (:meth:`EventLoop.set_datagram_plane`): the dispatch loops call
-        it whenever the next due event is a 6-field batched row, and one
+        it whenever the next due event is the row cursor's head, and one
         call frame here drains every *consecutive* due row — merging per
         item against the heap top and honouring ``deadline`` and
         ``budget``, so dispatch order and ``run_until``/``run_all``/
         ``step`` semantics stay bit-identical to the classic per-entry
-        path. Returns the number of rows fired (0 only when the cursor
-        minimum lies beyond ``deadline``).
+        path. Returns the number of rows fired (0 only when the row
+        head lies beyond ``deadline``). ``(send_when, send_seq)`` is the
+        key of a send plane's next send while its frame runs this drain:
+        a row keyed after it ends the run.
 
-        ``(send_when, send_seq)`` is the key of a send plane's next send
-        while its frame runs this drain (the head is then out of the
-        queue, so the drain must stop at it itself): a row keyed after
-        it ends the run. The dispatch loops leave it at ``+inf``, which
-        costs each row one float compare.
-
-        Accounting (``loop._live``, ``datagrams_in_flight``,
-        ``datagrams_delivered``) accumulates in locals and is flushed
-        before any handler runs and again on exit, so re-entrant user
-        code (and the conservation invariant) always sees consistent
-        counters. The per-(host, port) socket lookup is cached across a
-        run of rows to the same destination — the per-destination
-        batching the columns exist for — and invalidated whenever a
-        handler runs, since handlers may close or rebind sockets.
+        Each row's fields, ``seq`` included, are read before any handler
+        runs: a handler that nests a drain may collect the next bucket,
+        which recycles the cursor's columns. Accounting (``loop._live``,
+        ``datagrams_in_flight``, ``datagrams_delivered``) accumulates in
+        locals and is flushed before any handler runs and again on exit,
+        so re-entrant user code (and the conservation invariant) always
+        sees consistent counters. The per-(host, port) socket lookup is
+        cached across a run of rows to the same destination and
+        invalidated whenever a handler runs, since handlers may close or
+        rebind sockets.
         """
         loop = self.loop
         loop.wheel_batch_drains += 1
-        cursor = loop._cursor
+        order = loop._order
+        whens = loop._rwhen
+        seqs = loop._rseq
+        objs = loop._robjs
         heap = loop._heap
         faults = self.faults
         deliver_cb = self._deliver_cb
         fired = 0
-        live = 0          # loop._live decrements owed
-        in_flight = 0     # datagrams_in_flight decrements owed
+        owed = 0          # loop._live and datagrams_in_flight decrements owed
         delivered = 0     # datagrams_delivered increments owed
+        # A row keyed before ``edge`` (the deadline, the next send or the
+        # heap top) is due without further tests.
+        edge = deadline if deadline < send_when else send_when
+        if heap and heap[0][0] < edge:
+            edge = heap[0][0]
         prev_host: Host | None = None
         prev_port = -1
         sock: UdpSocket | None = None
         try:
-            while fired < budget and cursor:
-                top = cursor[-1]
-                if len(top) != 6 or top[0] > deadline:
+            while fired < budget and order:
+                i = order[-1]
+                when = whens[i]
+                seq = seqs[i]
+                if when >= edge and (
+                        when > deadline
+                        or (when >= send_when and (when > send_when or seq > send_seq))
+                        or (heap and heap[0] < (when, seq))):
                     break
-                if heap and heap[0] < top:
-                    break
-                if top[0] >= send_when and (top[0] > send_when or top[1] > send_seq):
-                    break
-                cursor.pop()
-                when, seq, host, port, payload, src = top
+                order.pop()
+                i *= 4
+                host = objs[i]
+                port = objs[i + 1]
+                payload = objs[i + 2]
+                src = objs[i + 3]
                 fired += 1
-                live += 1
-                in_flight += 1
+                owed += 1
                 loop.now = when
                 # The trace hook and sinks see the legacy entry shape
                 # (same callsite fingerprint as the classic path),
@@ -786,10 +795,10 @@ class Network:
                     sock.push(payload, src)
                     handler = sock.handler
                     if handler is not None:
-                        loop._live -= live
-                        self.datagrams_in_flight -= in_flight
+                        loop._live -= owed
+                        self.datagrams_in_flight -= owed
                         self.datagrams_delivered += delivered
-                        live = in_flight = delivered = 0
+                        owed = delivered = 0
                         handler(payload, src, sock)
                         # Handler code can bind/close sockets, install
                         # faults, or nest a drain that replaces the
@@ -797,8 +806,12 @@ class Network:
                         prev_host = None
                         sock = None
                         faults = self.faults
-                        cursor = loop._cursor
+                        order = loop._order
+                        whens = loop._rwhen
+                        seqs = loop._rseq
+                        objs = loop._robjs
                         heap = loop._heap
+                        edge = -_INFINITY  # the heap may have changed
                 sinks = EventLoop._sinks
                 if sinks:
                     if entry is None:
@@ -806,8 +819,8 @@ class Network:
                     for s in sinks:
                         s.record(loop, entry)
         finally:
-            loop._live -= live
-            self.datagrams_in_flight -= in_flight
+            loop._live -= owed
+            self.datagrams_in_flight -= owed
             self.datagrams_delivered += delivered
         return fired
 
@@ -853,9 +866,8 @@ class ShardNetwork(Network):
     :meth:`send_indexed` resolves the destination shard with two
     modulos, keeps the local fast path bit-identical to
     :meth:`Network.send_datagram`'s inline wheel enqueue, and diverts
-    cross-shard sends into per-destination-shard *egress columns* (the
-    PR 9 array-of-columns record layout: parallel ``when``/``dst``/
-    ``src`` arrays, no per-datagram objects) that the coordinator
+    cross-shard sends into per-destination-shard *egress columns*
+    (parallel ``when``/``dst``/``src`` arrays) that the coordinator
     exchanges at window barriers. Every non-swarm facility (NATs,
     captures, explicit ``send_datagram``) is untouched.
 
@@ -1000,7 +1012,7 @@ class ShardNetwork(Network):
             self.egress_sent += 1
             return
 
-        # Local destination: the PR 9 inline wheel enqueue, verbatim.
+        # Local destination: send_datagram's inline wheel enqueue.
         dest_host = self._local_index[dst_idx]
         dest_port = self.shard_port
         wire_src = src_host._wire_endpoints.get(self.shard_port)

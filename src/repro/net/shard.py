@@ -12,12 +12,11 @@ time-window protocol:
 * each shard therefore runs its :class:`~repro.net.clock.EventLoop`
   freely up to the next window barrier ``W_k = W_{k-1} + L`` — nothing
   another shard does during the window can schedule an event inside it;
-* at the barrier, shards exchange their egress columns (the PR 9
-  array-of-columns record layout — parallel ``when``/``dst``/``src``
-  arrays, no per-datagram objects on the wire) over pipes, and each
-  shard merges remote arrivals through the existing ``(when, seq)``
-  timing-wheel/heap order with fresh local sequence numbers
-  (:meth:`~repro.net.network.ShardNetwork.inject_batches`).
+* at the barrier, shards exchange their egress columns (parallel
+  ``when``/``dst``/``src`` arrays, no per-datagram objects on the
+  wire) over pipes, and each shard merges remote arrivals through the
+  existing ``(when, seq)`` timing-wheel/heap order with fresh local
+  sequence numbers (:meth:`~repro.net.network.ShardNetwork.inject_batches`).
 
 Each shard's sends come from a precomputed, columnar traffic program
 drained by a **send plane** (:meth:`ShardWorker._pump`): one queued
@@ -397,15 +396,13 @@ class ShardWorker:
 
         Called by the dispatch loops when the head ``(when, seq)`` — the
         next send's key — is the queue's minimum and due. Each send is
-        one ``send_indexed`` call on the program's columns and one fired
-        event, reported to the trace hook and sinks as the entry
-        ``(when, seq, self._pump, ())`` — the shape and callsite of the
-        one-event-per-send pump this frame replaces, so dispatch traces
-        are unchanged. After each send the next send's ``seq`` is drawn
-        exactly where that pump scheduled its successor; batched
-        delivery rows keyed before it run through the network's drain
-        (told to stop at the send), and anything else that precedes it —
-        a timer, a classic entry, a row past ``deadline`` — or a spent
+        one ``send_indexed`` call and one fired event, reported to the
+        trace hook and sinks as ``(when, seq, self._pump, ())`` — the
+        shape and callsite of the one-event-per-send pump this frame
+        replaces. After each send the next send's ``seq`` is drawn where
+        that pump scheduled its successor; delivery rows keyed before it
+        run through the network's drain (told to stop at the send), and
+        a preceding heap entry, a row past ``deadline`` or a spent
         ``budget`` ends the frame and re-queues the head. The head stays
         one ``pending`` event until the program's last send fires.
         """
@@ -449,18 +446,21 @@ class ShardWorker:
                     if fired >= budget or when > deadline:
                         loop._enqueue((when, seq))
                         return fired
-                    cursor = loop._cursor
-                    if not cursor and loop._wheel_count:
+                    order = loop._order
+                    if not order and loop._wheel_count and not (heap and heap[0] < loop._hold):
                         loop._collect()
-                        cursor = loop._cursor
-                    if cursor:
-                        top = cursor[-1]
-                        if top[0] <= when and (top[0] < when or top[1] < seq):
-                            if len(top) == 6 and not (heap and heap[0] < top):
-                                fired += drain(deadline, budget - fired, when, seq)
-                                continue
-                            loop._enqueue((when, seq))
-                            return fired
+                        order = loop._order
+                    if order:
+                        r = order[-1]
+                        row_when = loop._rwhen[r]
+                        if row_when <= when:
+                            row_seq = loop._rseq[r]
+                            if row_when < when or row_seq < seq:
+                                if not heap or heap[0] > (row_when, row_seq):
+                                    fired += drain(deadline, budget - fired, when, seq)
+                                    continue
+                                loop._enqueue((when, seq))
+                                return fired
                     if heap:
                         top = heap[0]
                         if top[0] <= when and (top[0] < when or top[1] < seq):

@@ -93,3 +93,19 @@ class ShardWorkerError(ReproError):
         self.barrier = barrier
         self.cause = cause
         self.worker_traceback = worker_traceback
+
+
+class PoolWorkerError(ReproError):
+    """One item of a process fan-out failed (:func:`repro.harness.runner.pool_map`).
+
+    Names the item — an experiment, a corpus shard — and the cause: the
+    worker's exception type and message, or the exit code of a worker
+    that died without reporting. ``worker_traceback`` holds the worker's
+    formatted traceback when it sent one.
+    """
+
+    def __init__(self, item: str, cause: str, worker_traceback: str = "") -> None:
+        super().__init__(f"{item} failed in a worker process: {cause}")
+        self.item = item
+        self.cause = cause
+        self.worker_traceback = worker_traceback
