@@ -394,12 +394,17 @@ class StreamingDetectionPipeline:
         if self.max_shards is not None:
             pending = pending[: self.max_shards]
         tasks = [(self.seed, self.config, index, self.shards) for index in pending]
-        for state in pool_map(scan_shard, tasks, jobs=self.scan_jobs,
-                              name=lambda task: f"corpus shard {task[2]}"):
+
+        def keep(state: ShardScanState) -> None:
+            # Persist each shard as it arrives, so a later shard's
+            # failure cannot lose the ones that finished.
             states.append(state)
             covered.add(state.shard_index)
             if manifest is not None:
                 manifest.record(state)
+
+        pool_map(scan_shard, tasks, jobs=self.scan_jobs,
+                 name=lambda task: f"corpus shard {task[2]}", on_result=keep)
         if len(covered) < self.shards:
             where = self.resume_dir if self.resume_dir is not None else Path(".")
             raise ScanIncomplete(len(covered), self.shards, where)

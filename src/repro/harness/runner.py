@@ -47,6 +47,7 @@ def pool_map(
     items: Iterable,
     jobs: int = 1,
     name: Callable[[Any], str] = repr,
+    on_result: Callable[[Any], None] | None = None,
 ) -> list:
     """Map ``fn`` over ``items``, optionally across worker processes.
 
@@ -64,10 +65,20 @@ def pool_map(
     exception raised by ``fn`` or a worker that dies without replying
     raises :class:`~repro.util.errors.PoolWorkerError` naming
     ``name(item)`` and the cause, and the remaining workers are stopped.
+
+    ``on_result(result)``, when given, runs in the calling process as
+    each result arrives — in input order in-process, in completion
+    order in parallel — so a caller can persist finished work before a
+    later item fails.
     """
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+        results = []
+        for item in items:
+            results.append(fn(item))
+            if on_result is not None:
+                on_result(results[-1])
+        return results
     context = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn")
     results: list = [None] * len(items)
@@ -97,6 +108,8 @@ def pool_map(
                 if status == "error":
                     raise PoolWorkerError(name(items[index]), payload, trace)
                 results[index] = payload
+                if on_result is not None:
+                    on_result(payload)
     finally:
         for reply, (_, proc) in running.items():
             proc.terminate()

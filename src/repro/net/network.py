@@ -11,8 +11,11 @@ region-aware latency model.
 This is the simulator's data plane and must stay fast and
 memory-bounded at million-datagram scale: wire capture objects are only
 built when a capture is registered, per-region-pair base latencies are
-cached, per-packet classes use ``__slots__``, and socket inboxes are
-ring buffers (see ``docs/PERFORMANCE.md``).
+cached, and per-packet classes use ``__slots__``. A delivered datagram
+goes to its socket's handler, or — for a socket without one — into a
+bounded flat inbox ring, never both, so delivery keeps no copy of what a
+handler consumed and allocates no container the garbage collector
+would track (see ``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
@@ -30,11 +33,13 @@ from repro.util.rand import DeterministicRandom
 
 DatagramHandler = Callable[[bytes, Endpoint, "UdpSocket"], None]
 
-#: Default :attr:`UdpSocket.inbox` ring-buffer capacity. Handlers are the
-#: production delivery path; the inbox exists so tests can poll without
-#: wiring callbacks, and a bounded ring keeps long swarm runs from
-#: accumulating every datagram ever delivered. Pass ``inbox_limit=None``
-#: to :meth:`Host.bind_udp` for an unbounded inbox.
+#: Default :attr:`UdpSocket.inbox` capacity, in datagrams. Handlers are
+#: the production delivery path, and a socket with a handler keeps
+#: nothing in its inbox; the inbox holds what arrives at a socket
+#: without one (tests that poll, swarm viewers that only count bytes),
+#: and the bound keeps long swarm runs from accumulating every datagram
+#: ever delivered. Pass ``inbox_limit=None`` to :meth:`Host.bind_udp`
+#: for an unbounded inbox.
 DEFAULT_INBOX_LIMIT = 4096
 
 #: Auto-retune cadence: the send path checks wheel health every this
@@ -58,15 +63,19 @@ _INFINITY = float("inf")
 class UdpSocket:
     """A bound UDP port on a host.
 
-    Incoming datagrams are passed to ``handler(payload, src, socket)``
-    when one is set, and always appended to :attr:`inbox` so tests can
-    poll without wiring callbacks. The inbox is bounded at
-    ``inbox_limit`` entries — once full, the oldest half is evicted in
-    one batch (amortised O(1), and a plain list stays ~10x smaller per
-    idle socket than a deque ring). ``None`` disables the cap.
+    A delivered datagram goes to ``handler(payload, src, socket)`` when
+    one is set, and otherwise into the socket's inbox, never both;
+    :attr:`bytes_received` counts it either way. The inbox is a flat
+    ring ``[payload, src, payload, src, ...]`` bounded at
+    ``inbox_limit`` datagrams: once past the cap, the oldest half is
+    evicted in one batch (amortised O(1), and a plain list stays ~10x
+    smaller per idle socket than a deque). ``None`` disables the cap.
+    A delivery allocates no container — the ring holds references to
+    the payload and the sender's :class:`Endpoint` only — so it adds
+    nothing for the garbage collector to track.
     """
 
-    __slots__ = ("host", "port", "handler", "inbox", "closed",
+    __slots__ = ("host", "port", "handler", "_ring", "closed",
                  "bytes_sent", "bytes_received", "inbox_limit", "_net_send",
                  "_wire_src")
 
@@ -80,7 +89,7 @@ class UdpSocket:
         self.host = host
         self.port = port
         self.handler = handler
-        self.inbox: list[tuple[bytes, Endpoint]] = []
+        self._ring: list = []
         self.inbox_limit = inbox_limit
         self.closed = False
         self.bytes_sent = 0
@@ -105,6 +114,16 @@ class UdpSocket:
         """The socket's local (possibly private) address."""
         return Endpoint(self.host.ip, self.port)
 
+    @property
+    def inbox(self) -> list[tuple[bytes, Endpoint]]:
+        """The datagrams no handler took, as ``(payload, src)`` pairs.
+
+        Oldest first, built fresh on each read: mutating the returned
+        list does not touch the ring.
+        """
+        ring = self._ring
+        return list(zip(ring[::2], ring[1::2]))
+
     def send(self, dst: Endpoint, payload: bytes) -> None:
         """Send."""
         if self.closed:
@@ -113,35 +132,47 @@ class UdpSocket:
         self._net_send(self.host, self.port, dst, payload, self._wire_src)
 
     def deliver(self, payload: bytes, src: Endpoint) -> None:
-        """Push a message to the attached client, if any."""
+        """Hand a datagram to the handler, or to the inbox without one."""
         if self.closed:
             return
-        self.push(payload, src)
-        if self.handler is not None:
-            self.handler(payload, src, self)
+        handler = self.handler
+        if handler is None:
+            self.push(payload, src)
+        else:
+            self.bytes_received += len(payload)
+            handler(payload, src, self)
 
     def push(self, payload: bytes, src: Endpoint) -> None:
         """Count the bytes and append to the inbox ring (no handler).
 
-        The one shared append/eviction implementation: :meth:`deliver`,
-        ``Network._deliver`` and the batched drain all funnel through
-        here, so the ring semantics — evict the oldest half in one
-        batch ``del`` once past the cap — cannot drift between call
-        sites. Handler dispatch stays with the callers: the batched
-        drain must flush its accounting before re-entrant handler code
-        runs, so this helper deliberately stops at the inbox.
+        The one shared append/eviction implementation: :meth:`deliver`
+        (which ``Network._deliver`` calls) and the batched drain both
+        call it for a socket without a handler, so the ring semantics —
+        evict the oldest half in one batch ``del`` once past the cap —
+        cannot drift between delivery sites. The drain does not go
+        through :meth:`deliver`: it must flush its accounting before
+        re-entrant handler code runs.
         """
         self.bytes_received += len(payload)
-        inbox = self.inbox
-        inbox.append((payload, src))
+        ring = self._ring
+        ring.append(payload)
+        ring.append(src)
         limit = self.inbox_limit
-        if limit is not None and len(inbox) > limit:
-            del inbox[: len(inbox) - limit // 2]
+        if limit is not None and len(ring) > limit + limit:
+            del ring[: len(ring) - (limit // 2) * 2]
 
     def close(self) -> None:
-        """Close and release resources."""
+        """Close and release the port, if it is still this socket's.
+
+        Idempotent: a second ``close()`` — or one after the port has
+        been bound again by a newer socket — leaves the host's socket
+        table alone.
+        """
+        if self.closed:
+            return
         self.closed = True
-        self.host.release_port(self.port)
+        if self.host.sockets.get(self.port) is self:
+            self.host.release_port(self.port)
 
 
 class Host:
@@ -694,9 +725,7 @@ class Network:
             self._drop_in_flight("socket_closed")
             return
         self.datagrams_delivered += 1
-        sock.push(payload, src)
-        if sock.handler is not None:
-            sock.handler(payload, src, sock)
+        sock.deliver(payload, src)
 
     def _drain_cursor(
         self,
@@ -728,7 +757,8 @@ class Network:
         sees consistent counters. The per-(host, port) socket lookup is
         cached across a run of rows to the same destination and
         invalidated whenever a handler runs, since handlers may close or
-        rebind sockets.
+        rebind sockets. Delivery follows :meth:`UdpSocket.deliver`'s
+        contract: the handler, or else the inbox ring, never both.
         """
         loop = self.loop
         loop.wheel_batch_drains += 1
@@ -792,9 +822,11 @@ class Network:
                     self._drop_in_flight("socket_closed")
                 else:
                     delivered += 1
-                    sock.push(payload, src)
                     handler = sock.handler
-                    if handler is not None:
+                    if handler is None:
+                        sock.push(payload, src)
+                    else:
+                        sock.bytes_received += len(payload)
                         loop._live -= owed
                         self.datagrams_in_flight -= owed
                         self.datagrams_delivered += delivered

@@ -8,9 +8,13 @@ fails loudly.
 """
 
 import json
+import multiprocessing
+import os
+import time
 
 import pytest
 
+from repro.detection import streaming
 from repro.detection.pipeline import DetectionPipeline
 from repro.detection.stages import ShardScanState
 from repro.detection.streaming import (
@@ -21,7 +25,7 @@ from repro.detection.streaming import (
 )
 from repro.environment import Environment
 from repro.experiments.detection_tables import DetectionTablesResult
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, PoolWorkerError
 from repro.web.corpus import CorpusConfig, build_corpus
 
 SMALL = CorpusConfig(noise_video_sites=10, noise_nonvideo_sites=5, noise_apps=5)
@@ -245,3 +249,67 @@ class TestResume:
         assert outcome.report.content_digest() == PIN_REPORT_DIGEST
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert "coarse" not in manifest  # the emptied block is pruned
+
+
+def completed_shards(run_dir) -> set[int]:
+    """Shard indices the manifest in ``run_dir`` records, if it is readable."""
+    try:
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+    except (OSError, ValueError):  # absent, or caught mid-write
+        return set()
+    return {int(index) for index in manifest["completed"]}
+
+
+class TestKilledMidScan:
+    """A scan that fails part-way keeps every shard that had finished."""
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="monkeypatched workers need the fork start method")
+    def test_worker_killed_mid_scan_then_resume(self, tmp_path, monkeypatch):
+        run_dir = tmp_path / "run"
+        real = streaming.scan_shard
+
+        def kill_shard_three(task):
+            if task[2] == 3:
+                # Die only once shards 0 and 1 are on disk (bounded, so a
+                # scan that records nothing until the end fails, not hangs).
+                deadline = time.monotonic() + 20.0
+                while not {0, 1} <= completed_shards(run_dir) and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                os._exit(3)
+            return real(task)
+
+        monkeypatch.setattr(streaming, "scan_shard", kill_shard_three)
+        with pytest.raises(PoolWorkerError) as err:
+            stream(shards=4, jobs=2, resume_dir=run_dir).run()
+        assert err.value.item == "corpus shard 3"
+        assert "exit code 3" in err.value.cause
+        assert multiprocessing.active_children() == []
+        done = completed_shards(run_dir)
+        assert {0, 1} <= done and 3 not in done
+
+        monkeypatch.setattr(streaming, "scan_shard", real)
+        outcome = stream(shards=4, jobs=2, resume_dir=run_dir).run()
+        assert outcome.shards_loaded == sorted(done)
+        assert outcome.shards_executed == [i for i in range(4) if i not in done]
+        assert outcome.report.content_digest() == PIN_REPORT_DIGEST
+
+    def test_in_process_exception_mid_scan_then_resume(self, tmp_path, monkeypatch):
+        run_dir = tmp_path / "run"
+        real = streaming.scan_shard
+
+        def fail_shard_three(task):
+            if task[2] == 3:
+                raise RuntimeError("shard 3 failed")
+            return real(task)
+
+        monkeypatch.setattr(streaming, "scan_shard", fail_shard_three)
+        with pytest.raises(RuntimeError, match="shard 3 failed"):
+            stream(shards=4, resume_dir=run_dir).run()
+        assert completed_shards(run_dir) == {0, 1, 2}
+
+        monkeypatch.setattr(streaming, "scan_shard", real)
+        outcome = stream(shards=4, resume_dir=run_dir).run()
+        assert outcome.shards_loaded == [0, 1, 2]
+        assert outcome.shards_executed == [3]
+        assert outcome.report.content_digest() == PIN_REPORT_DIGEST

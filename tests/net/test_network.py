@@ -60,6 +60,21 @@ class TestSockets:
         sock.close()
         host.bind_udp(1000)  # no error
 
+    def test_stale_close_leaves_a_newer_socket_bound(self):
+        net = make_network()
+        a = net.add_host("a")
+        host = net.add_host("h")
+        s1 = host.bind_udp(1000)
+        s1.close()
+        s2 = host.bind_udp(1000)
+        s1.close()  # idempotent: the port is s2's now
+        assert s1.closed and not s2.closed
+        assert host.sockets[1000] is s2
+        net.send_datagram(a, 1, Endpoint(host.ip, 1000), b"hi")
+        net.loop.run_all()
+        assert net.drops_by_reason == {}
+        assert [p for p, _ in s2.inbox] == [b"hi"]
+
 
 class TestDelivery:
     def test_public_to_public(self):

@@ -133,6 +133,14 @@ class TestFailureModes:
         with pytest.raises(Exception):
             s.pa.send(1, b"nope")
 
+    def test_second_close_leaves_a_rebound_port_alone(self):
+        s = Scenario()
+        port = s.pa.socket.port
+        s.pa.close()
+        newer = s.host_a.bind_udp(port)
+        s.pa.close()
+        assert s.host_a.sockets[port] is newer
+
     def test_tampered_signaling_fingerprint_blocks_connection(self):
         """A MITM swapping the DTLS fingerprint must be detected."""
         s = Scenario()
