@@ -21,6 +21,12 @@ from repro.privacy.resources import ResourceModel, ResourceMonitor
 from repro.proxy.mitm import MitmProxy
 from repro.web.browser import Browser, PageSession
 
+#: Bytes each peer capture keeps per datagram (tcpdump ``-s``). The
+#: traffic classifier reads whole STUN messages (the largest any
+#: experiment sends is 264 B) and the 13-byte DTLS record header;
+#: segment payloads inside DTLS records are never read.
+ANALYZER_SNAPLEN = 512
+
 
 @dataclass
 class PeerContainer:
@@ -105,7 +111,9 @@ class PdnAnalyzer:
             relay_only=relay_only,
             host=host,
         )
-        capture = TrafficCapture(f"cap:{name}", interface_ips=[browser.host.public_ip])
+        capture = TrafficCapture(
+            f"cap:{name}", interface_ips=[browser.host.public_ip], snaplen=ANALYZER_SNAPLEN
+        )
         self.env.network.add_capture(capture)
         monitor = ResourceMonitor(
             self.env.loop, browser, model=self.resource_model,

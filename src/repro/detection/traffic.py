@@ -8,7 +8,11 @@ between known candidate peer pairs, we consider the respective website
 or app a confirmed PDN customer."
 
 This module runs that exact decision procedure over a
-:class:`~repro.net.capture.TrafficCapture`.
+:class:`~repro.net.capture.TrafficCapture`. It reads whole STUN messages
+and the 13-byte DTLS record header only, so a snaplen capture that keeps
+every STUN message whole gives the same report as a full one; a STUN
+message the snaplen cut short (a TURN indication carrying a DTLS record)
+is classified from its 20-byte header.
 """
 
 from __future__ import annotations
@@ -19,7 +23,13 @@ from repro.net.addresses import Endpoint
 from repro.net.capture import TrafficCapture
 from repro.util.errors import StunDecodeError
 from repro.webrtc.dtls import is_dtls_datagram
-from repro.webrtc.stun import StunClass, StunMethod, decode_stun, is_stun_datagram
+from repro.webrtc.stun import (
+    StunClass,
+    StunMethod,
+    decode_stun,
+    decode_stun_header,
+    is_stun_datagram,
+)
 
 
 @dataclass
@@ -89,24 +99,31 @@ def classify_capture(
         pair = frozenset({packet.src.ip, packet.dst.ip})
         if is_stun_datagram(packet.payload):
             try:
-                message = decode_stun(packet.payload)
+                if packet.truncated:
+                    # Its attributes are cut off; USERNAME is unknown.
+                    method, msg_class = decode_stun_header(packet.payload, packet.length)
+                    username = None
+                else:
+                    message = decode_stun(packet.payload)
+                    method, msg_class = message.method, message.msg_class
+                    username = message.username()
             except StunDecodeError:
                 continue
             # TURN activity is counted regardless of infrastructure
             # filtering: a relayed deployment shows nothing *but* this.
-            if message.method is StunMethod.ALLOCATE:
+            if method is StunMethod.ALLOCATE:
                 report.turn_allocations += 1
-            elif message.method in (StunMethod.SEND, StunMethod.DATA):
+            elif method in (StunMethod.SEND, StunMethod.DATA):
                 report.turn_indications += 1
             if packet.src.ip in infra or packet.dst.ip in infra:
                 continue
-            if message.method is StunMethod.BINDING and message.msg_class is StunClass.REQUEST:
+            if method is StunMethod.BINDING and msg_class is StunClass.REQUEST:
                 report.stun_requests.append(
-                    StunObservation(packet.time, packet.src, packet.dst, message.username())
+                    StunObservation(packet.time, packet.src, packet.dst, username)
                 )
                 # Connectivity checks carry an ICE USERNAME; pure
                 # server-binding requests do not involve a peer pair.
-                if message.username() is not None and len(pair) == 2:
+                if username is not None and len(pair) == 2:
                     report.candidate_pairs.add(pair)
                     report.observed_peer_ips.update(pair)
         elif is_dtls_datagram(packet.payload):

@@ -8,6 +8,8 @@ an environment, add parties, run".
 
 from __future__ import annotations
 
+import gc
+
 from repro.net.clock import EventLoop
 from repro.net.nat import NatType
 from repro.net.network import Host, Network
@@ -100,3 +102,17 @@ class Environment:
     def run(self, seconds: float) -> None:
         """Advance the simulated clock by ``seconds``."""
         self.loop.run(seconds)
+
+
+def collect_finished_environments() -> None:
+    """Free the environments an experiment has finished with.
+
+    An :class:`Environment` is a reference cycle (loop <-> handles <->
+    peers <-> video), so refcounting never frees one, and the cyclic
+    collector may not run before the next allocates. An experiment that
+    builds environments one after another calls this, with no reference
+    to the finished one left, before it builds the next: otherwise the
+    dead graph (source video, CDN cache, peers' segment stores) sits
+    under the next one's peak RSS.
+    """
+    gc.collect()

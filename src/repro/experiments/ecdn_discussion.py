@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from repro.attacks.free_riding import ApiKeyProbe
 from repro.attacks.pollution import DirectContentPollutionTest, VideoSegmentPollutionTest
 from repro.core.analyzer import PdnAnalyzer
+from repro.core.report import TestReport
 from repro.detection.signatures import extract_api_keys
-from repro.environment import Environment
+from repro.environment import Environment, collect_finished_environments
 from repro.harness.registry import experiment
 from repro.harness.result import ResultBase
 from repro.pdn.ecdn import build_ecdn_test_bed, tenant_id_exposed
@@ -71,19 +72,11 @@ def run(seed: int = 606) -> EcdnResult:
     exposed = tenant_id_exposed(bed, html)
     scraped = extract_api_keys(html)
     guessed_ok, _ = ApiKeyProbe(env, bed.provider).probe("0123456789abcdef0123")
+    del env, bed
 
     # Content integrity against the silent simulator.
-    env2 = Environment(seed=seed + 1)
-    bed2 = build_ecdn_test_bed(env2)
-    analyzer = PdnAnalyzer(env2)
-    direct = analyzer.run_test(DirectContentPollutionTest(bed2))
-    analyzer.teardown()
-
-    env3 = Environment(seed=seed + 2)
-    bed3 = build_ecdn_test_bed(env3)
-    analyzer = PdnAnalyzer(env3)
-    segment = analyzer.run_test(VideoSegmentPollutionTest(bed3))
-    analyzer.teardown()
+    direct = _pollution_test(seed + 1, DirectContentPollutionTest)
+    segment = _pollution_test(seed + 2, VideoSegmentPollutionTest)
 
     return EcdnResult(
         tenant_id_in_page=exposed,
@@ -93,3 +86,14 @@ def run(seed: int = 606) -> EcdnResult:
         segment_pollution_triggered=segment.verdicts[0].triggered,
         segment_pollution_polluted_played=segment.verdicts[0].details["polluted_played"],
     )
+
+
+def _pollution_test(seed: int, test_class) -> TestReport:
+    """One pollution test on a fresh eCDN test bed, the last one freed first."""
+    collect_finished_environments()
+    env = Environment(seed=seed)
+    bed = build_ecdn_test_bed(env)
+    analyzer = PdnAnalyzer(env)
+    report = analyzer.run_test(test_class(bed))
+    analyzer.teardown()
+    return report

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.attacks.harvesting import GhostViewer, HarvestingPeer
-from repro.environment import Environment
+from repro.environment import Environment, collect_finished_environments
 from repro.harness.registry import CliOption, experiment
 from repro.harness.result import ResultBase
 from repro.net.addresses import IpClass, classify_ip
@@ -252,6 +252,9 @@ def run(
     if include_okru:
         specs.append(("ok.ru", True, "RU", okru_rate_per_min, "RU", GeoFilterMode.SAME_COUNTRY))
     for name, is_private, audience_country, rate, observer_country, geo_mode in specs:
+        if platforms:
+            del env
+            collect_finished_environments()
         env = Environment(seed=f"{seed}:{name}")
         geo_ref = env.geo
         if audience_country:

@@ -13,14 +13,16 @@ service), run the full battery through the PDN analyzer:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.attacks.free_riding import DomainSpoofingAttackTest
 from repro.attacks.harvesting import IpLeakTest
 from repro.attacks.pollution import DirectContentPollutionTest, VideoSegmentPollutionTest
 from repro.attacks.squatting import ResourceSquattingTest
 from repro.core.analyzer import PdnAnalyzer
-from repro.core.testbed import build_test_bed
-from repro.environment import Environment
+from repro.core.security_test import SecurityTest
+from repro.core.testbed import TestBed, build_test_bed
+from repro.environment import Environment, collect_finished_environments
 from repro.experiments import free_riding_wild
 from repro.harness.registry import experiment
 from repro.harness.result import ResultBase
@@ -103,55 +105,35 @@ def run(seed: int = 5150, quick: bool = False) -> RiskMatrixResult:
         vulnerable, total = key_stats.cross_domain_vulnerable(provider)
         result.set("cross_domain", provider, f"{vulnerable}/{total}")
 
-    profiles = [PEER5, STREAMROOT, VIBLAST]
-    for profile in profiles:
-        name = profile.name
+    cells = _test_cells(watch)
+    for profile in [PEER5, STREAMROOT, VIBLAST]:
+        for risk, offset, make_test, bed_kwargs in cells:
+            triggered, detail = _run_test(seed + offset, profile, make_test, **bed_kwargs)
+            result.set(risk, profile.name, _mark(triggered), detail)
 
-        env = Environment(seed=seed + 1)
-        bed = build_test_bed(env, profile)
-        analyzer = PdnAnalyzer(env)
-        report = analyzer.run_test(DomainSpoofingAttackTest(bed, watch=watch))
-        result.set("domain_spoofing", name, _mark(report.any_triggered), report.verdicts[0].details)
-        analyzer.teardown()
-
-        env = Environment(seed=seed + 2)
-        bed = build_test_bed(env, profile)
-        analyzer = PdnAnalyzer(env)
-        report = analyzer.run_test(DirectContentPollutionTest(bed, watch=watch))
-        result.set("direct_pollution", name, _mark(report.any_triggered), report.verdicts[0].details)
-        analyzer.teardown()
-
-        env = Environment(seed=seed + 3)
-        bed = build_test_bed(env, profile)
-        analyzer = PdnAnalyzer(env)
-        report = analyzer.run_test(VideoSegmentPollutionTest(bed, watch=watch))
-        result.set("segment_pollution", name, _mark(report.any_triggered), report.verdicts[0].details)
-        analyzer.teardown()
-
-        env = Environment(seed=seed + 4)
-        bed = build_test_bed(env, profile)
-        analyzer = PdnAnalyzer(env)
-        report = analyzer.run_test(IpLeakTest(bed, watch=30.0))
-        result.set("ip_leak", name, _mark(report.any_triggered), report.verdicts[0].details)
-        analyzer.teardown()
-
-        env = Environment(seed=seed + 5)
-        bed = build_test_bed(env, profile, segment_bytes=1_000_000)
-        analyzer = PdnAnalyzer(env)
-        report = analyzer.run_test(ResourceSquattingTest(bed, watch=45.0))
-        result.set("resource_squatting", name, _mark(report.any_triggered), report.verdicts[0].details)
-        analyzer.teardown()
-
-    _run_private_column(result, seed, watch)
+    _run_private_column(result, seed, cells)
     return result
 
 
-def _run_private_column(result: RiskMatrixResult, seed: int, watch: float) -> None:
+def _test_cells(watch: float) -> list[tuple[str, int, Callable[[TestBed], SecurityTest], dict]]:
+    """The analyzer-driven rows: (risk, seed offset, test factory, test-bed kwargs)."""
+    return [
+        ("domain_spoofing", 1, lambda bed: DomainSpoofingAttackTest(bed, watch=watch), {}),
+        ("direct_pollution", 2, lambda bed: DirectContentPollutionTest(bed, watch=watch), {}),
+        ("segment_pollution", 3, lambda bed: VideoSegmentPollutionTest(bed, watch=watch), {}),
+        ("ip_leak", 4, lambda bed: IpLeakTest(bed, watch=30.0), {}),
+        ("resource_squatting", 5, lambda bed: ResourceSquattingTest(bed, watch=45.0),
+         {"segment_bytes": 1_000_000}),
+    ]
+
+
+def _run_private_column(result: RiskMatrixResult, seed: int, cells: list) -> None:
     """The Mango-TV-style hooked private SDK, integrated on our test site."""
     profile = private_profile("mgtv.example", "signal.mgtv.example", video_bound_tokens=False)
 
     # Free riding: the hooked SDK joins from our own site with a token the
     # platform minted for *its* video — unbound tokens accept it anyway.
+    collect_finished_environments()
     env = Environment(seed=seed + 6)
     bed = build_test_bed(env, profile)
     from repro.web.browser import Browser
@@ -169,38 +151,33 @@ def _run_private_column(result: RiskMatrixResult, seed: int, watch: float) -> No
     viewer.close()
 
     # Pollution: DRM-protected platform, custom source not registered.
-    env = Environment(seed=seed + 7)
-    bed = build_test_bed(env, profile)
-    analyzer = PdnAnalyzer(env)
-    report = analyzer.run_test(DirectContentPollutionTest(bed, watch=watch))
-    result.set("direct_pollution", "private", _mark(report.any_triggered))
-    analyzer.teardown()
+    # Seeds continue after the hooked viewer's: seed + 7 .. seed + 10.
+    del env, bed, viewer, session
+    for risk, offset, make_test, bed_kwargs in cells[1:]:
+        triggered, detail = _run_test(seed + 5 + offset, profile, make_test, **bed_kwargs)
+        if risk != "segment_pollution":
+            result.set(risk, "private", _mark(triggered))
+        elif triggered:
+            result.set(risk, "private", "vuln", detail)
+        elif detail.get("victim_p2p_bytes", 0) > 0:
+            # DTLS transfer observed, never played
+            result.set(risk, "private", "blocked (DRM)", detail)
+        else:
+            result.set(risk, "private", "safe", detail)
 
-    env = Environment(seed=seed + 8)
-    bed = build_test_bed(env, profile)
-    analyzer = PdnAnalyzer(env)
-    report = analyzer.run_test(VideoSegmentPollutionTest(bed, watch=watch))
-    detail = report.verdicts[0].details
-    transmitted = detail.get("victim_p2p_bytes", 0) > 0
-    if report.any_triggered:
-        cell = "vuln"
-    elif transmitted:
-        cell = "blocked (DRM)"  # DTLS transfer observed, never played
-    else:
-        cell = "safe"
-    result.set("segment_pollution", "private", cell, detail)
-    analyzer.teardown()
 
-    env = Environment(seed=seed + 9)
-    bed = build_test_bed(env, profile)
-    analyzer = PdnAnalyzer(env)
-    report = analyzer.run_test(IpLeakTest(bed, watch=30.0))
-    result.set("ip_leak", "private", _mark(report.any_triggered))
-    analyzer.teardown()
+def _run_test(seed: int, profile, make_test: Callable[[TestBed], SecurityTest],
+              **bed_kwargs) -> tuple[bool, dict]:
+    """One security test on a fresh environment: (triggered, detail).
 
-    env = Environment(seed=seed + 10)
-    bed = build_test_bed(env, profile, segment_bytes=1_000_000)
+    The previous cell's environment is collected first, so no two
+    cells' memory stacks up. Only the verdict leaves: the report's
+    artifacts (resource monitors) would keep this environment alive.
+    """
+    collect_finished_environments()
+    env = Environment(seed=seed)
+    bed = build_test_bed(env, profile, **bed_kwargs)
     analyzer = PdnAnalyzer(env)
-    report = analyzer.run_test(ResourceSquattingTest(bed, watch=45.0))
-    result.set("resource_squatting", "private", _mark(report.any_triggered))
+    report = analyzer.run_test(make_test(bed))
     analyzer.teardown()
+    return report.any_triggered, report.verdicts[0].details

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from repro.core.analyzer import PdnAnalyzer
 from repro.core.testbed import build_test_bed
 from repro.defenses.integrity import ClientIntegrity, IntegrityCoordinator
-from repro.environment import Environment
+from repro.environment import Environment, collect_finished_environments
 from repro.harness.registry import DEFAULT_SEED, CliOption, experiment
 from repro.harness.result import ResultBase
 from repro.net.addresses import is_bogon
@@ -323,6 +323,8 @@ def run(
     result = ScenarioMatrixResult()
     for scenario_name in scenario_names:
         for fault_name in fault_names:
+            if result.cells:
+                collect_finished_environments()
             result.cells.append(
                 _run_cell(
                     seed,

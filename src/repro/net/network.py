@@ -4,18 +4,19 @@ The network routes by *public* address: each routable IP belongs either
 to a public :class:`Host` or to a :class:`~repro.net.nat.NatBox` whose
 attached hosts carry private addresses. Sending through the network
 performs NAT translation, captures the wire-level packet for every
-interested :class:`~repro.net.capture.TrafficCapture`, applies loss,
+interested :class:`~repro.net.capture.TrafficCapture` (found through an
+IP → captures index, not by asking each capture), applies loss,
 and schedules delivery on the event loop after a latency drawn from the
 region-aware latency model.
 
 This is the simulator's data plane and must stay fast and
 memory-bounded at million-datagram scale: wire capture objects are only
-built when a capture is registered, per-region-pair base latencies are
-cached, and per-packet classes use ``__slots__``. A delivered datagram
-goes to its socket's handler, or — for a socket without one — into a
-bounded flat inbox ring, never both, so delivery keeps no copy of what a
-handler consumed and allocates no container the garbage collector
-would track (see ``docs/PERFORMANCE.md``).
+built when a registered capture wants the datagram, per-region-pair
+base latencies are cached, and per-packet classes use ``__slots__``. A
+delivered datagram goes to its socket's handler, or — for a socket
+without one — into a bounded flat inbox ring, never both, so delivery
+keeps no copy of what a handler consumed and allocates no container the
+garbage collector would track (see ``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
@@ -267,7 +268,14 @@ class Network:
         self.loss_rate = loss_rate
         self.hosts: dict[str, Host] = {}  # keyed by the host's own ip
         self._routable: dict[str, Host | NatBox] = {}  # public address space
+        #: Every registered capture. Its truthiness is the send path's
+        #: one check when no capture is registered.
         self.captures: list[TrafficCapture] = []
+        # The routing index over ``captures``: unscoped captures see
+        # every datagram; a scoped one is listed under each of its
+        # interface IPs and sees a datagram whose wire src or dst is one.
+        self._unscoped_captures: list[TrafficCapture] = []
+        self._captures_by_ip: dict[str, list[TrafficCapture]] = {}
         self._next_public_ip = ip_to_int("5.0.0.1")
         self._next_nat_subnet = itertools.count(1)
         self.datagrams_sent = 0
@@ -479,15 +487,62 @@ class Network:
         return ip in self._routable
 
     def add_capture(self, capture: TrafficCapture) -> TrafficCapture:
-        """Register a traffic capture observing every sent datagram.
+        """Register a traffic capture observing the datagrams in its scope.
 
-        The capture remembers this network as a tap point, so
-        :meth:`TrafficCapture.stop` deregisters it here and the no-tap
-        fast branch in :meth:`send_datagram` re-engages.
+        The capture's ``interface_ips`` are indexed here, once. The
+        capture remembers this network as a tap point, so
+        :meth:`TrafficCapture.stop` deregisters it and, once no capture
+        is left, the no-tap fast branch in :meth:`send_datagram`
+        re-engages.
         """
         self.captures.append(capture)
+        if capture.interface_ips is None:
+            self._unscoped_captures.append(capture)
+        else:
+            for ip in capture.interface_ips:
+                self._captures_by_ip.setdefault(ip, []).append(capture)
         capture._taps.append(self)
         return capture
+
+    def remove_capture(self, capture: TrafficCapture) -> None:
+        """Deregister a capture and drop it from the IP index (idempotent)."""
+        if capture not in self.captures:
+            return
+        self.captures.remove(capture)
+        if capture.interface_ips is None:
+            self._unscoped_captures.remove(capture)
+            return
+        by_ip = self._captures_by_ip
+        for ip in capture.interface_ips:
+            scoped = by_ip[ip]
+            scoped.remove(capture)
+            if not scoped:
+                del by_ip[ip]
+
+    def _capture(self, src: Endpoint, dst: Endpoint, payload: bytes, dropped: bool) -> None:
+        """Record one datagram in every capture that wants it.
+
+        Looks up the captures scoped to ``src.ip`` and ``dst.ip`` plus
+        the unscoped ones, so the cost does not grow with the number of
+        registered captures; builds no packet when none wants it. A
+        capture scoped to both ends records the datagram once.
+        """
+        by_ip = self._captures_by_ip
+        at_src = by_ip.get(src.ip)
+        at_dst = by_ip.get(dst.ip)
+        unscoped = self._unscoped_captures
+        if at_src is None and at_dst is None and not unscoped:
+            return
+        packet = CapturedPacket(self.loop.now, src, dst, payload, dropped, len(payload))
+        for capture in unscoped:
+            capture._record(packet)
+        if at_src is not None:
+            for capture in at_src:
+                capture._record(packet)
+        if at_dst is not None:
+            for capture in at_dst:
+                if at_src is None or capture not in at_src:
+                    capture._record(packet)
 
     # -- data plane ------------------------------------------------------
 
@@ -615,10 +670,8 @@ class Network:
             # dropped reflects the *final* outcome, route failures
             # included — a capture must never show an unroutable or
             # NAT-filtered datagram as delivered.
-            packet = CapturedPacket(self.loop.now, wire_src, dst, payload,
-                                    dropped=reason is not None or route_fail is not None)
-            for capture in self.captures:
-                capture.record(packet)
+            self._capture(wire_src, dst, payload,
+                          reason is not None or route_fail is not None)
         if reason is not None:
             self._drop(reason)
             return

@@ -170,8 +170,14 @@ def encode_stun(message: StunMessage) -> bytes:
     return header + message.transaction_id + body
 
 
-def decode_stun(data: bytes) -> StunMessage:
-    """Parse wire bytes into a STUN message, validating framing."""
+def decode_stun_header(data: bytes, wire_length: int | None = None) -> tuple[StunMethod, StunClass]:
+    """Method and class from the 20-byte STUN header alone.
+
+    ``wire_length`` is the datagram's size on the wire when ``data`` is
+    only its first bytes (a snaplen capture); the header's length field
+    is checked against it, as :func:`decode_stun` checks it against
+    ``len(data)``.
+    """
     if len(data) < HEADER_LEN:
         raise StunDecodeError("datagram shorter than STUN header")
     msg_type, length, cookie = struct.unpack("!HHI", data[:8])
@@ -179,11 +185,15 @@ def decode_stun(data: bytes) -> StunMessage:
         raise StunDecodeError("top bits of STUN type must be zero")
     if cookie != MAGIC_COOKIE:
         raise StunDecodeError("bad magic cookie")
-    if len(data) != HEADER_LEN + length:
+    if (len(data) if wire_length is None else wire_length) != HEADER_LEN + length:
         raise StunDecodeError(f"length field {length} does not match datagram")
-    transaction_id = data[8:20]
-    method, msg_class = _decode_type(msg_type)
-    message = StunMessage(method, msg_class, transaction_id)
+    return _decode_type(msg_type)
+
+
+def decode_stun(data: bytes) -> StunMessage:
+    """Parse wire bytes into a STUN message, validating framing."""
+    method, msg_class = decode_stun_header(data)
+    message = StunMessage(method, msg_class, data[8:20])
     offset = HEADER_LEN
     while offset < len(data):
         if offset + 4 > len(data):

@@ -65,20 +65,34 @@ class TestAnalyzer:
         assert analyzer.peers == []
 
     def test_capture_scoped_to_peer(self):
+        """A peer's capture sees only its own traffic, keeps at most
+        ``snaplen`` payload bytes per packet, and counts wire bytes."""
         from repro.core.analyzer import PdnAnalyzer
+        from repro.net.capture import TrafficCapture
 
         env = Environment(seed=78)
-        bed = build_test_bed(env, PEER5, video_segments=4)
+        bed = build_test_bed(env, PEER5, video_segments=6, segment_seconds=2.0,
+                             segment_bytes=40_000)
         analyzer = PdnAnalyzer(env)
         peer_a = analyzer.create_peer(name="a")
         peer_b = analyzer.create_peer(name="b")
+        a_ip = peer_a.browser.host.public_ip
+        wire = env.network.add_capture(TrafficCapture("wire", interface_ips=[a_ip]))
         peer_a.watch_test_stream(bed)
         analyzer.run(5.0)
         peer_b.watch_test_stream(bed)
         analyzer.run(20.0)
-        a_ip = peer_a.browser.host.public_ip
-        for packet in peer_a.capture.packets:
+        capture = peer_a.capture
+        assert capture.snaplen is not None
+        assert len(capture) == len(wire) > 0
+        for packet, whole in zip(capture.packets, wire.packets):
             assert a_ip in (packet.src.ip, packet.dst.ip)
+            assert len(packet.payload) <= capture.snaplen
+            assert packet.payload == whole.payload[: capture.snaplen]
+            assert packet.size == whole.size == len(whole.payload)
+        # Peer-to-peer segment records are cut short but counted in full.
+        assert any(len(p.payload) < p.size for p in capture.packets)
+        assert capture.total_bytes() == wire.total_bytes() == sum(len(p.payload) for p in wire.packets)
 
     def test_reports_archived(self):
         from repro.core.analyzer import PdnAnalyzer

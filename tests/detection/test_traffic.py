@@ -10,6 +10,7 @@ from repro.webrtc.stun import (
     StunMessage,
     StunMethod,
     encode_stun,
+    is_stun_datagram,
 )
 
 A = Endpoint("1.1.1.1", 100)
@@ -105,3 +106,47 @@ class TestEndToEndCapture:
         report = classify_capture(cap, infrastructure_ips={env.stun.host.public_ip})
         assert report.pdn_confirmed
         assert frozenset({host_a.public_ip, host_b.public_ip}) in report.confirmed_pairs
+
+
+class TestSnaplenCapture:
+    """The analyzer's snaplen captures classify exactly like full ones."""
+
+    def run_pair(self, seed: int, relay_only: bool):
+        from repro.core.analyzer import ANALYZER_SNAPLEN, PdnAnalyzer
+        from repro.core.testbed import build_test_bed
+        from repro.pdn.provider import PEER5
+
+        env = Environment(seed=seed)
+        bed = build_test_bed(env, PEER5, video_segments=6, segment_seconds=2.0,
+                             segment_bytes=40_000)
+        analyzer = PdnAnalyzer(env)
+        peer_a = analyzer.create_peer(name="a", relay_only=relay_only)
+        peer_b = analyzer.create_peer(name="b", relay_only=relay_only)
+        full = env.network.add_capture(
+            TrafficCapture("full", interface_ips=[peer_a.browser.host.public_ip])
+        )
+        peer_a.watch_test_stream(bed)
+        analyzer.run(5.0)
+        peer_b.watch_test_stream(bed)
+        analyzer.run(30.0)
+        snap = peer_a.capture
+        assert snap.snaplen == ANALYZER_SNAPLEN
+        assert len(snap) == len(full) and snap.total_bytes() == full.total_bytes()
+        assert any(p.truncated for p in snap.packets)
+        infra = {env.stun.host.public_ip}
+        if relay_only:
+            infra.add(env.turn.host.public_ip)
+        return classify_capture(snap, infra), classify_capture(full, infra), snap
+
+    def test_direct_pair_report_unchanged(self):
+        snap_report, full_report, _ = self.run_pair(seed=81, relay_only=False)
+        assert snap_report.to_dict() == full_report.to_dict()
+        assert snap_report.pdn_confirmed
+
+    def test_relay_only_pair_report_unchanged(self):
+        snap_report, full_report, snap = self.run_pair(seed=82, relay_only=True)
+        assert snap_report.to_dict() == full_report.to_dict()
+        assert snap_report.turn_activity
+        # TURN indications carrying DTLS records were cut short by the
+        # snaplen and still counted from their STUN header.
+        assert any(p.truncated and is_stun_datagram(p.payload) for p in snap.packets)
